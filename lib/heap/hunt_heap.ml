@@ -45,9 +45,14 @@ struct
         value = R.shared None;
       }
     in
-    (* Bit-reversed filling scatters the last level across its whole
-       power-of-two range, so the array covers full levels: indices up to
-       2^(floor(log2 capacity) + 1) - 1. *)
+    (* Elements fill indices in bit-reversed order, which scatters the
+       last level across its whole power-of-two range: up to [capacity]
+       elements reach index 2^(floor(log2 capacity) + 1) - 1.  The array
+       holds one level more, 2^(floor(log2 capacity) + 2) slots in all
+       (131072 for a capacity of 63100): the always-Empty children of
+       that last level, whose lock and tag a sift-down probes before it
+       stops.  Without them the sift-down would skip those probes and
+       the simulated costs would change. *)
     let slot_count =
       let rec round p = if p > capacity then 2 * p else round (2 * p) in
       round 1

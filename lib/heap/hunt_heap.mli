@@ -29,12 +29,15 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   exception Full
 
   val create : ?capacity:int -> unit -> 'v t
-  (** [capacity] (default 65536) is the fixed slot count — the paper's
-      heaps are array-based and pre-allocated (a disadvantage §1.2 lists
-      explicitly). *)
+  (** [capacity] (default 65536) is the maximum element count.  The slot
+      array is pre-allocated — the paper's heaps are array-based (a
+      disadvantage §1.2 lists explicitly) — with 2^(floor(log2 capacity)
+      + 2) slots: the levels that can hold elements plus one level of
+      always-Empty children, whose lock and tag a sift-down probes. *)
 
   val insert : 'v t -> K.t -> 'v -> unit
-  (** Raises {!Full} when all slots are taken.  Duplicate keys allowed. *)
+  (** Raises {!Full} when the heap holds [capacity] elements.  Duplicate
+      keys allowed. *)
 
   val delete_min : 'v t -> (K.t * 'v) option
 

@@ -33,41 +33,38 @@ let sequential =
     max_procs = 512;
   }
 
-(* The line directory is a structure of arrays indexed by line id: one
-   int per line for the exclusive writer (-1 when none), the home node,
-   and the line-level queue, plus [words_per_line] packed bitmap words
-   per line for the sharer set.  Registering or touching a line never
-   allocates; the columns grow geometrically when an id outruns them.
+(* The line directory is a structure of arrays indexed by line id: the
+   exclusive writer (-1 when none), the line-level queue, and a row of
+   [words_per_line] packed sharer-bitmap words.  The home node is derived
+   ([home_node]), not stored.  Rows are only as wide as the processors
+   charged so far ([widen] re-lays the column, bits kept, when a higher
+   id arrives), and the columns cover only the ids charged so far: they
+   grow geometrically in [access_into], not in [make_meta], so a row
+   beyond them is still fresh.  Registering a line never allocates.
    (Before §S17 each line was a heap record owning a Bitset — ~18 minor
    words per [make_meta], promoted wholesale because lines live as long
    as the structures that own them.) *)
 type system = {
   config : config;
   node_busy : int array;
-  words_per_line : int;
-  mutable dir_capacity : int; (* lines the columns can hold *)
-  mutable writer : int array;
-  mutable home : int array;
+  mutable words_per_line : int;
+  mutable writer : int array; (* its length is the columns' capacity *)
   mutable busy_until : int array;
-  mutable sharers : int array; (* dir_capacity rows of words_per_line *)
+  mutable sharers : int array; (* one row of words_per_line per line *)
 }
 
 (* Large enough that the benchmark-scale workloads (tens of thousands of
-   locations per run) pay at most one or two doublings; still only a few
-   hundred KB per column at 64 procs. *)
+   charged locations per run) pay at most one or two doublings. *)
 let initial_capacity = 16384
 
 let make_system config =
-  let words_per_line = ((config.max_procs + 62) / 63) in
   {
     config;
     node_busy = Array.make config.numa_nodes 0;
-    words_per_line;
-    dir_capacity = initial_capacity;
+    words_per_line = 1;
     writer = Array.make initial_capacity (-1);
-    home = Array.make initial_capacity 0;
     busy_until = Array.make initial_capacity 0;
-    sharers = Array.make (initial_capacity * words_per_line) 0;
+    sharers = Array.make initial_capacity 0;
   }
 
 let system_config sys = sys.config
@@ -78,39 +75,33 @@ let home_node config ~id = id mod config.numa_nodes
 let proc_node config ~proc = proc mod config.numa_nodes
 
 let grow sys ~id =
-  let cap = ref sys.dir_capacity in
+  let old = Array.length sys.writer in
+  let cap = ref old in
   while !cap <= id do
     cap := 2 * !cap
   done;
-  let cap = !cap in
-  let extend a fill =
-    let b = Array.make cap fill in
-    Array.blit a 0 b 0 sys.dir_capacity;
+  let extend a fill width =
+    let b = Array.make (!cap * width) fill in
+    Array.blit a 0 b 0 (old * width);
     b
   in
-  sys.writer <- extend sys.writer (-1);
-  sys.home <- extend sys.home 0;
-  sys.busy_until <- extend sys.busy_until 0;
-  let sh = Array.make (cap * sys.words_per_line) 0 in
-  Array.blit sys.sharers 0 sh 0 (sys.dir_capacity * sys.words_per_line);
+  sys.writer <- extend sys.writer (-1) 1;
+  sys.busy_until <- extend sys.busy_until 0 1;
+  sys.sharers <- extend sys.sharers 0 sys.words_per_line
+
+let widen sys ~proc =
+  let w = sys.words_per_line and w' = (proc / 63) + 1 in
+  let sh = Array.make (Array.length sys.writer * w') 0 in
+  for line = 0 to Array.length sys.writer - 1 do
+    Array.blit sys.sharers (line * w) sh (line * w') w
+  done;
   sys.sharers <- sh;
-  sys.dir_capacity <- cap
-
-let make_meta sys ~id =
-  if id < 0 then invalid_arg "Memory_model.make_meta: negative id";
-  if id >= sys.dir_capacity then grow sys ~id;
-  sys.writer.(id) <- -1;
-  sys.home.(id) <- home_node sys.config ~id;
-  sys.busy_until.(id) <- 0;
-  Array.fill sys.sharers (id * sys.words_per_line) sys.words_per_line 0;
-  id
-
-let location_id (meta : meta) = meta
+  sys.words_per_line <- w'
 
 (* Sharer-set rows: the same packed representation [Repro_util.Bitset]
-   uses, inlined over the flat column.  Processor ids are bounded by
-   [config.max_procs] (the machine enforces the spawn limit), so the
-   word index is always inside the line's row. *)
+   uses, inlined over the flat column.  [access_into] widens the rows
+   before it charges a processor, so the word index is always inside the
+   line's row. *)
 let[@inline] sharer_mem sys line proc =
   Array.unsafe_get sys.sharers ((line * sys.words_per_line) + (proc / 63))
   land (1 lsl (proc mod 63))
@@ -123,6 +114,17 @@ let[@inline] sharer_add sys line proc =
 
 let[@inline] sharer_clear sys line =
   Array.fill sys.sharers (line * sys.words_per_line) sys.words_per_line 0
+
+let make_meta sys ~id =
+  if id < 0 then invalid_arg "Memory_model.make_meta: negative id";
+  if id < Array.length sys.writer then begin
+    sys.writer.(id) <- -1;
+    sys.busy_until.(id) <- 0;
+    sharer_clear sys id
+  end;
+  id
+
+let location_id (meta : meta) = meta
 
 type kind = Read | Write | Swap
 
@@ -166,6 +168,8 @@ let[@inline] miss_into out ~now ~start latency =
   out.c_queued <- start - now
 
 let access_into out sys (line : meta) ~proc ~now kind =
+  if line >= Array.length sys.writer then grow sys ~id:line;
+  if proc / 63 >= sys.words_per_line then widen sys ~proc;
   let config = sys.config in
   let writer = sys.writer.(line) in
   match kind with
@@ -174,7 +178,7 @@ let access_into out sys (line : meta) ~proc ~now kind =
       (* Hit: served by the processor's cache, no module traffic. *)
       hit_into out ~now config.cache_hit
     else begin
-      let home = sys.home.(line) in
+      let home = home_node config ~id:line in
       let start = miss_start sys line ~home ~now in
       let latency = fetch_latency config ~home ~proc in
       sys.busy_until.(line) <- start + config.occupancy;
@@ -191,7 +195,7 @@ let access_into out sys (line : meta) ~proc ~now kind =
       (* Exclusive owner writes in cache. *)
       hit_into out ~now config.cache_hit
     else begin
-      let home = sys.home.(line) in
+      let home = home_node config ~id:line in
       let start = miss_start sys line ~home ~now in
       let latency = fetch_latency config ~home ~proc in
       sys.busy_until.(line) <- start + config.occupancy;
@@ -202,7 +206,7 @@ let access_into out sys (line : meta) ~proc ~now kind =
   | Swap ->
     (* RMW always serializes at the module, even for the owner: it is the
        point where concurrent SWAPs order themselves. *)
-    let home = sys.home.(line) in
+    let home = home_node config ~id:line in
     let start = miss_start sys line ~home ~now in
     let latency =
       (if writer = proc then config.cache_hit
@@ -222,13 +226,17 @@ let access sys meta ~proc ~now kind =
   { start = out.c_start; finish = out.c_finish; hit = out.c_hit; queued = out.c_queued }
 
 (* Directory inspection, for the model tests: the coherence state of one
-   line as plain data. *)
-let writer_of sys (line : meta) = sys.writer.(line)
-let busy_until_of sys (line : meta) = sys.busy_until.(line)
+   line as plain data.  A line beyond the columns was never charged. *)
+let writer_of sys (line : meta) =
+  if line < Array.length sys.writer then sys.writer.(line) else -1
+
+let busy_until_of sys (line : meta) =
+  if line < Array.length sys.writer then sys.busy_until.(line) else 0
 
 let sharers_of sys (line : meta) =
   let acc = ref [] in
-  for p = sys.config.max_procs - 1 downto 0 do
-    if sharer_mem sys line p then acc := p :: !acc
-  done;
+  if line < Array.length sys.writer then
+    for p = (63 * sys.words_per_line) - 1 downto 0 do
+      if sharer_mem sys line p then acc := p :: !acc
+    done;
   !acc

@@ -28,13 +28,16 @@ type config = {
           that makes the whole machine saturate as processors multiply *)
   swap_extra : int;  (** additional cycles for the atomic read-modify-write *)
   numa_nodes : int;  (** locations are distributed round-robin across nodes *)
-  max_procs : int;  (** capacity of per-location sharer sets *)
+  max_procs : int;
+      (** the spawn limit: processor ids stay below it.  It does not size
+          the directory, whose sharer rows fit the processors a run
+          actually charges (see {!system}). *)
 }
 
 val default : config
 (** Alewife-flavoured constants: cache_hit 2, local_fetch 11, remote_fetch
-    38, occupancy 6, node_occupancy 12, swap_extra 6, 16 NUMA nodes, 512
-    processors. *)
+    38, occupancy 6, node_occupancy 12, swap_extra 6, 16 NUMA nodes, a
+    512-processor spawn limit. *)
 
 val sequential : config
 (** Degenerate uniform-cost config (every access 1 cycle, no queueing) for
@@ -43,10 +46,16 @@ val sequential : config
 type system
 (** One simulated memory system: the config, the per-node module queues,
     and the line directory — a structure of arrays indexed by line id
-    (writer / home / busy_until as flat int columns, sharer sets as
-    packed bitmap rows in one flat array).  The columns grow
-    geometrically; registering a line or charging an access never
-    allocates (DESIGN.md §S17). *)
+    (writer / busy_until as flat int columns, sharer sets as packed
+    bitmap rows in one flat array).  There is no home column: a line's
+    home is {!home_node}.  A sharer row is ⌈(highest processor id
+    charged + 1) / 63⌉ words (1 up to 63 processors, 5 at 256), widened
+    in place, bits kept, when a higher id is first charged.  The columns
+    cover the line ids charged so far and grow geometrically when
+    {!access_into} first charges an id beyond them, not when
+    {!make_meta} registers it.  Registering a line never allocates, and
+    charging one allocates only on those growth steps (DESIGN.md
+    §S17). *)
 
 val make_system : config -> system
 val system_config : system -> config
@@ -56,8 +65,9 @@ type meta
     immediate value — allocating a location costs nothing on the host. *)
 
 val make_meta : system -> id:int -> meta
-(** Registers line [id] in the directory (growing it if needed) with
-    fresh coherence state: no writer, no sharers, line free. *)
+(** Registers line [id] with fresh coherence state: no writer, no
+    sharers, line free.  A row inside the columns is reset; a row beyond
+    them has never been charged, so it is fresh already. *)
 
 val location_id : meta -> int
 
@@ -98,7 +108,8 @@ val proc_node : config -> proc:int -> int
 
     Plain-data views of one line's coherence state, for the model tests
     (test_sim drives the directory and a record-based reference through
-    identical access sequences and asserts equal state). *)
+    identical access sequences and asserts equal state).  A registered
+    line beyond the columns reads as fresh. *)
 
 val writer_of : system -> meta -> int
 (** Exclusive owner's processor id, or [-1] when the line is shared/idle. *)

@@ -273,58 +273,62 @@ end
 let test_memory_qcheck_against_reference =
   (* Random register/access scripts through both the flat directory and
      the record-based reference: every charge and, afterwards, every
-     line's writer/sharers/busy-until must agree.  Line ids include two
-     far beyond the initial capacity so the script exercises the columns'
-     geometric growth. *)
-  let cfg = { Memory_model.default with max_procs = 96; numa_nodes = 7 } in
+     line's writer/sharers/busy-until must agree.  A script's first part
+     charges processors below 63 only (one-word sharer rows); its second
+     part brings in ids up to 199, so the rows widen while bits are set.
+     Line ids include two far beyond the initial capacity so the columns
+     grow geometrically.  Every script also registers line [far] before
+     anything is charged, so it lies beyond the columns: it must read as
+     fresh there, and charge like the reference once the script is done.
+     Every (re-)registered line must read as fresh. *)
+  let cfg = { Memory_model.default with max_procs = 200; numa_nodes = 7 } in
   let line_ids = [| 0; 1; 2; 3; 5; 8; 13; 21; 34; 55; 20_000; 70_000 |] in
-  let gen =
+  let far = 100_000 in
+  let steps ~procs =
     QCheck.Gen.(
-      list_size (int_range 1 120)
-        (triple (int_range 0 (Array.length line_ids - 1)) (int_range 0 95) (int_range 0 3)))
+      list_size (int_range 1 60)
+        (triple (int_range 0 (Array.length line_ids - 1)) (int_range 0 (procs - 1)) (int_range 0 3)))
   in
-  let print script =
+  let print_steps script =
     String.concat ";"
       (List.map (fun (l, p, k) -> Printf.sprintf "(%d,%d,%d)" l p k) script)
   in
+  let print (low, high) = print_steps low ^ " | " ^ print_steps high in
   QCheck.Test.make ~count:150 ~name:"flat directory agrees with record reference"
-    (QCheck.make ~print gen)
-    (fun script ->
+    (QCheck.make ~print QCheck.Gen.(pair (steps ~procs:63) (steps ~procs:200)))
+    (fun (low, high) ->
       let sys = Memory_model.make_system cfg in
       let reference = Dir_reference.make cfg in
       let registered = Hashtbl.create 16 in
       let clock = ref 0 in
-      let ensure id =
-        if not (Hashtbl.mem registered id) then begin
-          Hashtbl.replace registered id (Memory_model.make_meta sys ~id);
-          Dir_reference.register reference id
-        end
+      let register id =
+        let meta = Memory_model.make_meta sys ~id in
+        Hashtbl.replace registered id meta;
+        Dir_reference.register reference id;
+        Memory_model.writer_of sys meta = -1
+        && Memory_model.busy_until_of sys meta = 0
+        && Memory_model.sharers_of sys meta = []
       in
-      List.for_all
-        (fun (l, proc, op) ->
-          let id = line_ids.(l) in
-          ensure id;
-          if op = 3 then begin
-            (* Re-register: the line forgets its coherence state. *)
-            Hashtbl.replace registered id (Memory_model.make_meta sys ~id);
-            Dir_reference.register reference id;
-            true
-          end
-          else begin
-            let kind =
-              match op with
-              | 0 -> Memory_model.Read
-              | 1 -> Memory_model.Write
-              | _ -> Memory_model.Swap
-            in
-            let now = !clock in
-            clock := now + 3;
-            let meta = Hashtbl.find registered id in
-            let c = Memory_model.access sys meta ~proc ~now kind in
-            let rs, rf, rh, rq = Dir_reference.access reference id ~proc ~now kind in
-            c.Memory_model.start = rs && c.finish = rf && c.hit = rh && c.queued = rq
-          end)
-        script
+      let charge id ~proc kind =
+        let now = !clock in
+        clock := now + 3;
+        let c = Memory_model.access sys (Hashtbl.find registered id) ~proc ~now kind in
+        let rs, rf, rh, rq = Dir_reference.access reference id ~proc ~now kind in
+        c.Memory_model.start = rs && c.finish = rf && c.hit = rh && c.queued = rq
+      in
+      register far
+      && List.for_all
+           (fun (l, proc, op) ->
+             let id = line_ids.(l) in
+             (Hashtbl.mem registered id || register id)
+             &&
+             match op with
+             | 0 -> charge id ~proc Memory_model.Read
+             | 1 -> charge id ~proc Memory_model.Write
+             | 2 -> charge id ~proc Memory_model.Swap
+             | _ -> (* Re-register: the line forgets its coherence state. *) register id)
+           (low @ high)
+      && charge far ~proc:150 Memory_model.Read
       && Hashtbl.fold
            (fun id meta ok ->
              ok
@@ -334,6 +338,29 @@ let test_memory_qcheck_against_reference =
              && Memory_model.busy_until_of sys meta = l.Dir_reference.busy_until
              && Memory_model.sharers_of sys meta = l.Dir_reference.sharers)
            registered true)
+
+(* Widening the sharer rows keeps the bits already set: processors 0-62
+   share several lines in one-word rows, then processor 200 reads them
+   too, which widens the rows to four words.  The spawn limit is the
+   default 512. *)
+let test_memory_widen_keeps_sharers () =
+  let sys = Memory_model.make_system { Memory_model.default with max_procs = 512 } in
+  let lines = List.map (fun id -> Memory_model.make_meta sys ~id) [ 0; 1; 7; 20_000 ] in
+  let now = ref 0 in
+  let read meta proc =
+    incr now;
+    Memory_model.access sys meta ~proc ~now:!now Memory_model.Read
+  in
+  List.iter (fun meta -> for p = 0 to 62 do ignore (read meta p) done) lines;
+  List.iter (fun meta -> ignore (read meta 200)) lines;
+  List.iter
+    (fun meta ->
+      Alcotest.(check (list int)) "old sharers plus 200"
+        (List.init 63 Fun.id @ [ 200 ])
+        (Memory_model.sharers_of sys meta);
+      check_bool "old sharer still hits" true (read meta 62).hit;
+      check_bool "new sharer hits" true (read meta 200).hit)
+    lines
 
 (* --- machine ------------------------------------------------------------ *)
 
@@ -589,6 +616,50 @@ let test_fast_path_golden_determinism () =
   (* sanity: the workload actually exercised the interesting paths *)
   check_bool "some events" true (on.Machine.events > 500);
   check_bool "some contention" true (on.Machine.lock_contentions > 0)
+
+(* Reports of a fixed program whose processor ids cross the sharer rows'
+   widen boundaries, pinned to literal values: at 65 processors the ids
+   reach 64 (two-word rows), at 257 they reach 256 (five-word rows).  The
+   golden test above compares the two scheduler paths of one build; this
+   one also catches a directory change that moves both paths alike. *)
+let wide_program ~procs () =
+  let cells = Array.init 8 (fun _ -> Sim_rt.shared 0) in
+  let lock = Machine.lock_create ~name:"wide" () in
+  for p = 1 to procs - 1 do
+    Machine.spawn (fun () ->
+        for i = 0 to 5 do
+          let c = cells.((p + i) mod 8) in
+          ignore (Sim_rt.read c);
+          ignore (Sim_rt.read c);
+          (match i with
+          | 2 -> ignore (Sim_rt.swap c p)
+          | 4 ->
+            Machine.lock_acquire lock;
+            Sim_rt.write c i;
+            Machine.lock_release lock
+          | 5 -> if Machine.lock_try_acquire lock then Machine.lock_release lock
+          | _ -> ());
+          Machine.work ((p * 7) mod 13)
+        done)
+  done
+
+let test_wide_runs_pinned () =
+  let pinned procs expected =
+    check_bool
+      (Printf.sprintf "%d-processor report" procs)
+      true
+      (Machine.run (wide_program ~procs) = expected)
+  in
+  pinned 65
+    { Machine.end_time = 8487; processors = 65; events = 1602; accesses = 1089;
+      cache_hits = 237; queued_cycles = 43216; swaps = 192; lock_acquisitions = 65;
+      lock_contentions = 63; lock_wait_cycles = 239310; lock_try_failures = 63;
+      cond_parkings = 0; cond_wait_cycles = 0 };
+  pinned 257
+    { Machine.end_time = 34021; processors = 257; events = 6402; accesses = 4353;
+      cache_hits = 655; queued_cycles = 914305; swaps = 768; lock_acquisitions = 257;
+      lock_contentions = 255; lock_wait_cycles = 3942458; lock_try_failures = 255;
+      cond_parkings = 0; cond_wait_cycles = 0 }
 
 let test_determinism () =
   let run () =
@@ -1095,6 +1166,7 @@ let () =
           Alcotest.test_case "swap ordering" `Quick test_memory_swap_orders;
           Alcotest.test_case "sequential config" `Quick test_memory_sequential_config_is_flat;
           QCheck_alcotest.to_alcotest test_memory_qcheck_against_reference;
+          Alcotest.test_case "widen keeps sharers" `Quick test_memory_widen_keeps_sharers;
         ] );
       ( "machine",
         [
@@ -1114,6 +1186,8 @@ let () =
             test_lock_attempt_accounting_pinned;
           Alcotest.test_case "fast-path golden determinism" `Quick
             test_fast_path_golden_determinism;
+          Alcotest.test_case "runs across widen boundaries pinned" `Quick
+            test_wide_runs_pinned;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "perturbation determinism" `Quick test_perturb_determinism;
           Alcotest.test_case "lock-wait accounting pinned" `Quick
