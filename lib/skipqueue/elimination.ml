@@ -44,6 +44,7 @@ module Over
     (Q : BACKING with type key = K.t) =
 struct
   module SQ = Q
+  module Per_proc = Repro_runtime.Per_proc
 
   (* Published by a deleter: only an insert whose key is strictly below
      [bound] may eliminate with it — and even then only after justifying
@@ -99,10 +100,8 @@ struct
     serve_cap : int;
     bound_every : int;
     adaptive : bool;
-    rngs : Repro_util.Rng.t option array; (* per-processor slot streams *)
-    locals : local array; (* per-processor width/window views *)
-    rngs_mutex : Mutex.t;
-    seed : int64;
+    rngs : Repro_util.Rng.t Per_proc.t; (* per-processor slot streams *)
+    locals : local Per_proc.t; (* per-processor width/window views *)
     (* Host-side counters and width/window mirrors: free on the simulator,
        approximate under native races; mirrors track the last adapted
        values so [front_stats] can run outside a runtime context. *)
@@ -117,8 +116,6 @@ struct
     mutable stat_collisions : int;
   }
 
-  let rng_slots = 4096 (* power of two; processor ids are folded into it *)
-
   let create ?mode ?p ?max_level ?seed ?reclamation ?(slots = 64) ?(width = 8)
       ?(window = 32) ?(max_window = 128) ?(poll_cycles = 16) ?(serve_cap = 8)
       ?(bound_every = 8) ?(adaptive = true) () =
@@ -130,6 +127,7 @@ struct
     if poll_cycles < 1 then invalid_arg "Elimination.create: poll_cycles < 1";
     if serve_cap < 0 then invalid_arg "Elimination.create: serve_cap < 0";
     if bound_every < 1 then invalid_arg "Elimination.create: bound_every < 1";
+    let slot_seed = Int64.mul (Option.value seed ~default:0x5EEDL) 0x2545F4914F6CDD1DL in
     {
       q = SQ.create ?mode ?p ?max_level ?seed ?reclamation ();
       slots = Array.init slots (fun _ -> R.shared Free);
@@ -138,11 +136,15 @@ struct
       serve_cap;
       bound_every;
       adaptive;
-      rngs = Array.make rng_slots None;
-      locals =
-        Array.init rng_slots (fun _ -> { lwidth = width; lwindow = window });
-      rngs_mutex = Mutex.create ();
-      seed = Option.value seed ~default:0x5EEDL;
+      (* Slot-choice streams: the queue seed, pre-mixed so they differ
+         from the backing queue's level streams, plus the processor's
+         slot. *)
+      rngs =
+        Per_proc.create (fun idx ->
+            Repro_util.Rng.of_seed
+              (Int64.add slot_seed
+                 (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (idx + 1)))));
+      locals = Per_proc.create (fun _ -> { lwidth = width; lwindow = window });
       width_now = width;
       window_now = window;
       stat_eliminated = 0;
@@ -154,32 +156,8 @@ struct
       stat_collisions = 0;
     }
 
-  (* Per-processor slot-choice stream, same idiom as the skiplist's level
-     streams: the mutex only guards lazy creation and is never held across
-     a runtime operation. *)
-  let rng_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.rngs.(idx) with
-    | Some rng -> rng
-    | None ->
-      Mutex.lock t.rngs_mutex;
-      let rng =
-        match t.rngs.(idx) with
-        | Some rng -> rng
-        | None ->
-          let rng =
-            Repro_util.Rng.of_seed
-              (Int64.add
-                 (Int64.mul t.seed 0x2545F4914F6CDD1DL)
-                 (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (idx + 1))))
-          in
-          t.rngs.(idx) <- Some rng;
-          rng
-      in
-      Mutex.unlock t.rngs_mutex;
-      rng
-
-  let local_for t = t.locals.(R.self () land (rng_slots - 1))
+  let rng_for t = Per_proc.get t.rngs (R.self ())
+  let local_for t = Per_proc.get t.locals (R.self ())
 
   (* Width only grows (on publish collisions): shrinking it on timeouts
      turns out to collapse the array under load — every deleter then
@@ -422,16 +400,5 @@ struct
   let queue_stats t = SQ.stats t.q
 end
 
-(* {!Skipqueue.Make} as a BACKING: only the [key]/[reclaim] aliases are
-   added — no value is wrapped, so every type identity (mode constructors,
-   op_stats fields, create's arity) is the base queue's own. *)
-module Backing (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
-struct
-  include Skipqueue.Make (R) (K)
-
-  type key = K.t
-  type reclaim = Reclaim.t
-end
-
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
-  Over (R) (K) (Backing (R) (K))
+  Over (R) (K) (Skipqueue.Make (R) (K))

@@ -63,9 +63,9 @@
 
 (** The queue interface the front end needs: the claim/batch half of the
     SkipQueue's Delete-min split (first_bound, hunt_batch / batch_claims /
-    finish_batch) plus the plain entry points.  Both {!Skipqueue.Make}
-    (via {!Backing}) and {!Skipqueue_co.Make} satisfy it — the latter
-    directly, since it exports the [key]/[reclaim] aliases itself.
+    finish_batch) plus the plain entry points.  {!Skipqueue.Make} and
+    {!Skipqueue_co.Make} both satisfy it directly: each exports the
+    [key]/[reclaim] aliases.
 
     The front end's correctness argument needs one property beyond the
     signature: an eliminated key is strictly below the published {e and}
@@ -198,12 +198,7 @@ module Over
   (** {!SQ.stats} of the backing queue. *)
 end
 
-module Backing (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) :
-  BACKING with type key = K.t
-(** {!Skipqueue.Make} with the [key]/[reclaim] aliases added; no value is
-    wrapped. *)
-
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) :
-  module type of Over (R) (K) (Backing (R) (K))
+  module type of Over (R) (K) (Skipqueue.Make (R) (K))
 (** The historical instantiation: the front end over the paper's locked
     SkipQueue. *)

@@ -18,7 +18,7 @@
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
   module Reclaim : module type of Reclamation.Make (R)
 
-  type bound = Bottom | Key of K.t | Top
+  type bound = Locked_skiplist.Bound(K).bound = Bottom | Key of K.t | Top
 
   val bound_compare : bound -> bound -> int
 
@@ -116,7 +116,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   val stats : 'v t -> op_stats
 
-  type pool_stats = { returned : int; recycled : int; pooled : int }
+  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
 
   val pool_stats : 'v t -> pool_stats
   val reclaim_stats : 'v t -> Reclaim.stats

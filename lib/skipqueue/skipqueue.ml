@@ -1,18 +1,6 @@
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
 struct
-  module Reclaim = Reclamation.Make (R)
-
-  type mode = Strict | Relaxed
-
-  (* Keys extended with sentinels for the head (-oo) and tail (+oo). *)
-  type bound = Bottom | Key of K.t | Top
-
-  let bound_compare a b =
-    match (a, b) with
-    | Bottom, Bottom | Top, Top -> 0
-    | Bottom, _ | _, Top -> -1
-    | Top, _ | _, Bottom -> 1
-    | Key x, Key y -> K.compare x y
+  include Locked_skiplist.Bound (K)
 
   type 'v node = {
     key : bound R.shared;
@@ -26,41 +14,35 @@ struct
     mutable poisoned : bool; (* set by the reclamation finalizer *)
   }
 
-  type op_stats = {
-    hunt_steps : int;
-    swap_losses : int;
-    stale_skips : int;
-    hunt_passes : int; (* bottom-level hunt invocations; a native
-                          delete_min_batch performs one per batch *)
-  }
+  let read_key node = R.read node.key
+  let read_next node i = R.read node.next.(i - 1)
+  let level_lock node i = node.level_locks.(i - 1)
 
-  type 'v t = {
-    head : 'v node;
-    tail : 'v node;
-    max_level : int;
-    p : float;
-    mode : mode;
-    reclamation : Reclaim.t option;
-    rngs : Repro_util.Rng.t option array; (* per-processor level streams *)
-    rngs_mutex : Mutex.t;
-    seed : int64;
-    preds : 'v node array option array; (* per-processor find_preds scratch *)
-    (* Free lists of physically removed nodes, one per node height, fed by
-       the reclamation finalizer (so a pooled node is guaranteed
-       unreachable) and drained by [insert].  Host-side state guarded by a
-       host mutex: never touched between simulator effects of one
-       operation, so it cannot perturb the schedule. *)
-    pool : 'v node list array;
-    pool_mutex : Mutex.t;
-    mutable pool_returned : int; (* nodes the finalizer handed back *)
-    mutable pool_recycled : int; (* pooled nodes reissued by insert *)
-    mutable hunt_steps : int;
-    mutable swap_losses : int;
-    mutable stale_skips : int;
-    mutable hunt_passes : int;
-  }
+  (* One lock per level plus a whole-node lock; keys are unique, so a
+     search stops before an equal key. *)
+  module Layout = struct
+    type nonrec bound = bound
+    type nonrec 'v node = 'v node
+    type ext = unit
 
-  let rng_slots = 4096 (* power of two; processor ids are folded into it *)
+    let level node = node.level
+    let read_key = read_key
+    let read_next = read_next
+    let write_next node i v = R.write node.next.(i - 1) v
+    let write_stamp node v = R.write node.stamp v
+    let poison node = node.poisoned <- true
+    let acquire_level () node i = R.acquire (level_lock node i)
+    let release_level () node i = R.release (level_lock node i)
+    let acquire_node () node = R.acquire node.node_lock
+    let release_node () node = R.release node.node_lock
+    let past c = c < 0
+  end
+
+  include Locked_skiplist.Make (R) (K) (Layout)
+
+  (* Aliases making the module a valid [Elimination.BACKING]. *)
+  type key = K.t
+  type reclaim = Reclaim.t
 
   let make_node ?(deleted = false) ~key ~value ~level () =
     {
@@ -80,97 +62,11 @@ struct
 
   let create ?(mode = Strict) ?(p = 0.5) ?(max_level = 20) ?(seed = 0x5EEDL)
       ?reclamation () =
-    if p <= 0.0 || p >= 1.0 then invalid_arg "Skipqueue.create: p outside (0, 1)";
-    if max_level < 1 then invalid_arg "Skipqueue.create: max_level < 1";
+    Locked_skiplist.check_args ~who:"Skipqueue" ~p ~max_level;
     let tail = make_node ~deleted:true ~key:Top ~value:None ~level:0 () in
     let head = make_node ~deleted:true ~key:Bottom ~value:None ~level:max_level () in
     let head = { head with next = Array.init max_level (fun _ -> R.shared tail) } in
-    {
-      head;
-      tail;
-      max_level;
-      p;
-      mode;
-      reclamation;
-      rngs = Array.make rng_slots None;
-      rngs_mutex = Mutex.create ();
-      seed;
-      preds = Array.make rng_slots None;
-      pool = Array.make max_level [];
-      pool_mutex = Mutex.create ();
-      pool_returned = 0;
-      pool_recycled = 0;
-      hunt_steps = 0;
-      swap_losses = 0;
-      stale_skips = 0;
-      hunt_passes = 0;
-    }
-
-  let stats t =
-    {
-      hunt_steps = t.hunt_steps;
-      swap_losses = t.swap_losses;
-      stale_skips = t.stale_skips;
-      hunt_passes = t.hunt_passes;
-    }
-
-  type pool_stats = { returned : int; recycled : int; pooled : int }
-
-  let pool_stats t =
-    Mutex.lock t.pool_mutex;
-    let pooled = Array.fold_left (fun acc l -> acc + List.length l) 0 t.pool in
-    Mutex.unlock t.pool_mutex;
-    { returned = t.pool_returned; recycled = t.pool_recycled; pooled }
-
-  (* Per-processor level stream, derived deterministically from the queue
-     seed and the processor id.  The mutex only guards lazy creation and is
-     never held across a runtime operation. *)
-  let rng_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.rngs.(idx) with
-    | Some rng -> rng
-    | None ->
-      Mutex.lock t.rngs_mutex;
-      let rng =
-        match t.rngs.(idx) with
-        | Some rng -> rng
-        | None ->
-          let rng =
-            Repro_util.Rng.of_seed
-              (Int64.add t.seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (idx + 1))))
-          in
-          t.rngs.(idx) <- Some rng;
-          rng
-      in
-      Mutex.unlock t.rngs_mutex;
-      rng
-
-  let random_level t =
-    Repro_util.Rng.geometric_level (rng_for t) ~p:t.p ~max_level:t.max_level
-
-  let read_key node = R.read node.key
-  let read_next node i = R.read node.next.(i - 1)
-  let write_next node i v = R.write node.next.(i - 1) v
-  let level_lock node i = node.level_locks.(i - 1)
-
-  let enter t = match t.reclamation with None -> () | Some r -> Reclaim.enter r
-  let exit t = match t.reclamation with None -> () | Some r -> Reclaim.exit r
-
-  (* The finalizer runs only once no processor inside the structure can
-     still hold a pointer to the node (reclamation's guarantee), so the
-     node can go straight onto the free list of its height.  It stays
-     poisoned while pooled: any hunter that could still observe it would
-     trip the invariant checker. *)
-  let retire t node =
-    match t.reclamation with
-    | None -> ()
-    | Some r ->
-      Reclaim.retire r (fun () ->
-          node.poisoned <- true;
-          Mutex.lock t.pool_mutex;
-          t.pool.(node.level - 1) <- node :: t.pool.(node.level - 1);
-          t.pool_returned <- t.pool_returned + 1;
-          Mutex.unlock t.pool_mutex)
+    make ~mode ~p ~max_level ~seed ~reclamation ~ext:() ~head ~tail
 
   (* Node arena: [insert] draws from the free list of the wanted height
      before allocating.  A recycled node is re-registered cell by cell in
@@ -178,23 +74,7 @@ struct
      fresh node's locations, so it consumes the same fresh line ids and
      the simulation stays bit-identical to one that never recycles. *)
   let alloc_node t ~key ~value ~level =
-    let pooled =
-      match t.reclamation with
-      | None -> None
-      | Some _ ->
-        Mutex.lock t.pool_mutex;
-        let n =
-          match t.pool.(level - 1) with
-          | [] -> None
-          | n :: rest ->
-            t.pool.(level - 1) <- rest;
-            t.pool_recycled <- t.pool_recycled + 1;
-            Some n
-        in
-        Mutex.unlock t.pool_mutex;
-        n
-    in
-    match pooled with
+    match pooled t ~level with
     | Some n ->
       R.refresh n.key key;
       R.refresh n.value value;
@@ -213,60 +93,6 @@ struct
       let n = make_node ~key ~value ~level () in
       { n with next = Array.init level (fun _ -> R.shared t.tail) }
 
-  (* Fig. 9's getLock: lock the level-[i] pointer of the rightmost node
-     whose key is smaller than [bkey], revalidating after acquisition. *)
-  let get_lock t bkey node1 i =
-    ignore t;
-    let node1 = ref node1 in
-    let node2 = ref (read_next !node1 i) in
-    while bound_compare (read_key !node2) bkey < 0 do
-      node1 := !node2;
-      node2 := read_next !node1 i
-    done;
-    R.acquire (level_lock !node1 i);
-    node2 := read_next !node1 i;
-    while bound_compare (read_key !node2) bkey < 0 do
-      R.release (level_lock !node1 i);
-      node1 := !node2;
-      R.acquire (level_lock !node1 i);
-      node2 := read_next !node1 i
-    done;
-    !node1
-
-  (* Per-processor predecessor buffer for [find_preds], created lazily
-     like the level-stream rngs.  One buffer per processor suffices: an
-     operation's search result is consumed before the same processor can
-     start another search (operations on one processor are sequential,
-     and no callee of a search's consumer re-enters [find_preds]). *)
-  let preds_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.preds.(idx) with
-    | Some saved -> saved
-    | None ->
-      let saved = Array.make t.max_level t.head in
-      Mutex.lock t.rngs_mutex;
-      (match t.preds.(idx) with
-      | None -> t.preds.(idx) <- Some saved
-      | Some _ -> ());
-      Mutex.unlock t.rngs_mutex;
-      (match t.preds.(idx) with Some saved -> saved | None -> assert false)
-
-  (* Top-down search recording the rightmost node with key < bkey at every
-     level (Fig. 10 lines 1-9, Fig. 11 lines 15-23).  Fills and returns
-     the calling processor's scratch buffer — no per-search allocation. *)
-  let find_preds t bkey =
-    let saved = preds_for t in
-    let node1 = ref t.head in
-    for i = t.max_level downto 1 do
-      let node2 = ref (read_next !node1 i) in
-      while bound_compare (read_key !node2) bkey < 0 do
-        node1 := !node2;
-        node2 := read_next !node1 i
-      done;
-      saved.(i - 1) <- !node1
-    done;
-    saved
-
   let insert t key value =
     enter t;
     let bkey = Key key in
@@ -284,17 +110,7 @@ struct
         let level = random_level t in
         let new_node = alloc_node t ~key:bkey ~value:(Some value) ~level in
         R.acquire new_node.node_lock;
-        let node1 = ref node1 in
-        for i = 1 to level do
-          if i <> 1 then node1 := get_lock t bkey saved.(i - 1) i;
-          write_next new_node i (read_next !node1 i);
-          write_next !node1 i new_node;
-          R.release (level_lock !node1 i)
-        done;
-        R.release new_node.node_lock;
-        (match t.mode with
-        | Strict -> R.write new_node.stamp (R.get_time ())
-        | Relaxed -> ());
+        link t bkey saved node1 new_node;
         `Inserted
       end
     in
@@ -304,7 +120,10 @@ struct
   (* Fig. 11 lines 15-37: physical removal of an already-marked node.  The
      predecessor search and the line 24-26 re-walk are kept (their memory
      traffic is part of the algorithm's cost) even though we already hold
-     the node pointer. *)
+     the node pointer.  Keys are unique, so the keyed getLock finds the
+     victim's predecessor at every level. *)
+  let key_pred_lock t bkey _victim start i = get_lock t bkey start i
+
   let physically_remove t node2 bkey =
     let saved = find_preds t bkey in
     let walker = ref saved.(0) in
@@ -312,19 +131,7 @@ struct
       walker := read_next !walker 1
     done;
     assert (!walker == node2);
-    R.acquire node2.node_lock;
-    for i = node2.level downto 1 do
-      let node1 = get_lock t bkey saved.(i - 1) i in
-      R.acquire (level_lock node2 i);
-      (* Unlink first, then point the victim back at its predecessor so
-         that processors still holding a pointer to it fall back safely. *)
-      write_next node1 i (read_next node2 i);
-      write_next node2 i node1;
-      R.release (level_lock node2 i);
-      R.release (level_lock node1 i)
-    done;
-    R.release node2.node_lock;
-    retire t node2
+    unlink t ~pred_lock:key_pred_lock bkey saved node2
 
   (* Fig. 11 lines 1-10, generalized from one victim to up-to-[want]: a
      single bottom-level pass that races to claim the first [want]
@@ -390,21 +197,6 @@ struct
   let finish_batch t batch =
     List.iter (fun c -> physically_remove t c.cnode (Key c.ckey)) batch;
     exit t
-
-  let first_bound t =
-    (* The first node can be retired by a concurrent physical removal, so
-       even this two-read peek must hold the reclamation critical section:
-       outside it, a collector pass may reclaim the node between the
-       [next] read and the [key] read. *)
-    enter t;
-    let result =
-      match read_key (read_next t.head 1) with
-      | Top -> `Empty
-      | Key k -> `Min_at_most k
-      | Bottom -> assert false (* head is the only Bottom node *)
-    in
-    exit t;
-    result
 
   let delete_min t =
     enter t;

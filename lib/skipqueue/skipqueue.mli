@@ -25,9 +25,15 @@
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
   type 'v t
 
-  type mode = Strict | Relaxed
+  type mode = Locked_skiplist.mode = Strict | Relaxed
 
   module Reclaim : module type of Reclamation.Make (R)
+
+  type key = K.t
+  (** Alias making the module a valid {!Elimination.BACKING}. *)
+
+  type reclaim = Reclaim.t
+  (** Likewise. *)
 
   val create :
     ?mode:mode ->
@@ -118,7 +124,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   (** {2 Instrumentation} *)
 
-  type op_stats = {
+  type op_stats = Locked_skiplist.op_stats = {
     hunt_steps : int;  (** bottom-level nodes examined by delete_mins *)
     swap_losses : int;  (** marked nodes stepped over (lost races) *)
     stale_skips : int;  (** nodes skipped because their timestamp was too young *)
@@ -133,7 +139,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   (** Cumulative since creation.  Updated with plain (unmodelled) writes —
       costs nothing on the simulator; approximate under native races. *)
 
-  type pool_stats = {
+  type pool_stats = Node_pool.stats = {
     returned : int;  (** nodes the reclamation finalizer freed into the pool *)
     recycled : int;  (** pooled nodes reissued by inserts *)
     pooled : int;  (** nodes currently waiting in the free lists *)

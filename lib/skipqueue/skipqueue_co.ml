@@ -17,16 +17,23 @@
      memory line in the simulator's flat model — the property the
      duplicate-heavy figure measures against the lock-array layout.
 
-   Lock protocol: identical in shape to Fig. 9-11 — getLock walks with
-   revalidation at each level, insert links bottom-up while holding the
-   new node's full bit (the node-lock role), physical removal unlinks
-   top-down holding predecessor-then-victim level bits and redirecting the
-   victim's pointers backwards.  The deadlock-freedom argument of the
-   original carries over unchanged: the full bit is only ever held while
-   acquiring level bits of *other* nodes in the same
+   Lock protocol: Fig. 9-11 themselves, shared with {!Skipqueue} through
+   {!Locked_skiplist} — find_preds, getLock with revalidation at each
+   level, the bottom-up link loop (run while holding the new node's full
+   bit, the node-lock role) and the top-down unlink loop (predecessor-
+   then-victim level bits, victim's pointers redirected backwards).  This
+   module only says which lock each step takes ([Layout]) and that
+   getLock walks past equal keys when linking.  The deadlock-freedom
+   argument of the original carries over unchanged: the full bit is only
+   ever held while acquiring level bits of *other* nodes in the same
    predecessor-before-victim order, and level bits of one word are
    independent (a CAS that loses to a neighbouring bit's change just
-   retries).
+   retries).  What stays here is what differs between the layouts: the
+   node record and its registration order (make_node / alloc_node), the
+   join in place of an in-place update, the ticket claim in place of the
+   SWAP hunt, removal's identity walk to the victim's predecessors
+   (equal keys make a key-bounded walk ambiguous), and the quiescent
+   views and invariant check.
 
    Coalescing protocol: insert first walks the run of equal-key nodes at
    the bottom level and tries to join the first live one (count > 0) under
@@ -60,22 +67,8 @@
 
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
 struct
-  module Reclaim = Reclamation.Make (R)
+  include Locked_skiplist.Bound (K)
   module W = Co_lockword
-
-  (* Aliases making the module a valid [Elimination.BACKING]. *)
-  type key = K.t
-  type reclaim = Reclaim.t
-
-  type mode = Strict | Relaxed
-  type bound = Bottom | Key of K.t | Top
-
-  let bound_compare a b =
-    match (a, b) with
-    | Bottom, Bottom | Top, Top -> 0
-    | Bottom, _ | _, Top -> -1
-    | Top, _ | _, Bottom -> 1
-    | Key x, Key y -> K.compare x y
 
   type 'v node = {
     key : bound R.shared;
@@ -97,46 +90,118 @@ struct
     mutable poisoned : bool; (* set by the reclamation finalizer *)
   }
 
-  type op_stats = {
-    hunt_steps : int;
-    swap_losses : int;
-    stale_skips : int;
-    hunt_passes : int;
-  }
-
   type co_stats = {
     coalesced_inserts : int; (* inserts absorbed into an existing node *)
     node_splits : int; (* fresh links forced by a full live node *)
   }
 
-  type 'v t = {
-    head : 'v node;
-    tail : 'v node;
-    max_level : int;
+  (* The layout's queue-wide state, carried by the shared core as its
+     [ext]: the packed word's field positions, the multiset knobs and the
+     coalescing counters. *)
+  type co = {
     layout : W.layout;
     capacity : int;
     dedups : bool;
-    p : float;
-    mode : mode;
     broken_torn_dec : bool; (* Broken.co_lockword's planted fault *)
-    reclamation : Reclaim.t option;
-    rngs : Repro_util.Rng.t option array; (* per-processor level streams *)
-    rngs_mutex : Mutex.t;
-    seed : int64;
-    preds : 'v node array option array; (* per-processor find_preds scratch *)
-    pool : 'v node list array; (* per-height free lists, finalizer-fed *)
-    pool_mutex : Mutex.t;
-    mutable pool_returned : int;
-    mutable pool_recycled : int;
-    mutable hunt_steps : int;
-    mutable swap_losses : int;
-    mutable stale_skips : int;
-    mutable hunt_passes : int;
     mutable coalesced_inserts : int;
     mutable node_splits : int;
   }
 
-  let rng_slots = 4096 (* power of two; processor ids are folded into it *)
+  let read_key node = R.read node.key
+  let read_next node i = R.read node.next.(i - 1)
+
+  (* ---- packed-word locking ----------------------------------------------
+
+     TTAS CAS-spin on the single word.  Safe on the simulator: every read
+     and CAS is a charged effect, so a spinning processor advances
+     simulated time and the holder gets scheduled.  A CAS lost to a
+     *neighbouring* field's change (another level's bit, the count) just
+     retries — that cross-field interference is the single-line cost the
+     layout deliberately accepts. *)
+
+  let rec acquire_level_packed x node i =
+    let w = R.read node.word in
+    if W.level_locked x.layout w i then acquire_level_packed x node i
+    else if not (R.cas node.word w (W.lock_level x.layout w i)) then
+      acquire_level_packed x node i
+
+  let acquire_level x node i =
+    if Array.length node.sentinel_locks > 0 then
+      R.acquire node.sentinel_locks.(i - 1)
+    else acquire_level_packed x node i
+
+  let rec release_level_packed x node i =
+    let w = R.read node.word in
+    let w' = W.unlock_level x.layout w i in
+    if not (R.cas node.word w w') then release_level_packed x node i
+
+  let release_level x node i =
+    if Array.length node.sentinel_locks > 0 then
+      R.release node.sentinel_locks.(i - 1)
+    else release_level_packed x node i
+
+  let rec acquire_full x node =
+    let w = R.read node.word in
+    if W.full_locked x.layout w then acquire_full x node
+    else if not (R.cas node.word w (W.lock_full x.layout w)) then
+      acquire_full x node
+
+  (* One-shot acquire for callers with a fallback: a single observation
+     and at most one CAS, so a busy or contended word costs two accesses
+     instead of a spin on what is typically the structure's hottest
+     line. *)
+  let try_acquire_full x node =
+    let w = R.read node.word in
+    (not (W.full_locked x.layout w))
+    && R.cas node.word w (W.lock_full x.layout w)
+
+  (* Release the full bit, leaving the count alone. *)
+  let rec release_full x node =
+    let w = R.read node.word in
+    let w' = W.unlock_full x.layout w in
+    if not (R.cas node.word w w') then release_full x node
+
+  (* Release the full bit and commit [transition] (a ticket move — admit,
+     or claim+admit for a dedup update) in the same CAS: a join's
+     admission and its lock release are one atomic word transition.  The
+     claim path is lock-free, so the node can die (claimed catches born)
+     even while we hold the full bit; death is final, so the loop refuses
+     with [false] — WITHOUT releasing the bit, because the caller must
+     unwind its slab append before any other join can see the slab. *)
+  let rec release_full_committing x node ~transition =
+    let w = R.read node.word in
+    if W.count x.layout w = 0 then false
+    else
+      let w' = W.unlock_full x.layout (transition w) in
+      if R.cas node.word w w' then true
+      else release_full_committing x node ~transition
+
+  (* The packed word in the lock roles of Figs. 9-11: its level bits are
+     the level locks and its full bit the node lock; equal keys are legal,
+     and a fresh duplicate links after every equal-key node. *)
+  module Layout = struct
+    type nonrec bound = bound
+    type nonrec 'v node = 'v node
+    type ext = co
+
+    let level node = node.level
+    let read_key = read_key
+    let read_next = read_next
+    let write_next node i v = R.write node.next.(i - 1) v
+    let write_stamp node v = R.write node.stamp v
+    let poison node = node.poisoned <- true
+    let acquire_level = acquire_level
+    let release_level = release_level
+    let acquire_node = acquire_full
+    let release_node = release_full
+    let past c = c <= 0
+  end
+
+  include Locked_skiplist.Make (R) (K) (Layout)
+
+  (* Aliases making the module a valid [Elimination.BACKING]. *)
+  type key = K.t
+  type reclaim = Reclaim.t
 
   (* Registration order of a node's shared locations is part of the
      protocol: [alloc_node] refreshes a recycled node's cells in exactly
@@ -166,9 +231,7 @@ struct
   let create ?(mode = Strict) ?(p = 0.5) ?(max_level = 20) ?(seed = 0x5EEDL)
       ?reclamation ?(capacity = 4) ?(dedups = false)
       ?(broken_torn_dec = false) () =
-    if p <= 0.0 || p >= 1.0 then
-      invalid_arg "Skipqueue_co.create: p outside (0, 1)";
-    if max_level < 1 then invalid_arg "Skipqueue_co.create: max_level < 1";
+    Locked_skiplist.check_args ~who:"Skipqueue_co" ~p ~max_level;
     let layout = W.make ~max_level in
     if capacity < 1 || capacity > W.count_capacity layout then
       invalid_arg
@@ -190,187 +253,35 @@ struct
           Array.init max_level (fun _ -> R.lock_create ~name:"sq-co-head" ());
       }
     in
-    {
-      head;
-      tail;
-      max_level;
-      layout;
-      capacity;
-      dedups;
-      p;
-      mode;
-      broken_torn_dec;
-      reclamation;
-      rngs = Array.make rng_slots None;
-      rngs_mutex = Mutex.create ();
-      seed;
-      preds = Array.make rng_slots None;
-      pool = Array.make max_level [];
-      pool_mutex = Mutex.create ();
-      pool_returned = 0;
-      pool_recycled = 0;
-      hunt_steps = 0;
-      swap_losses = 0;
-      stale_skips = 0;
-      hunt_passes = 0;
-      coalesced_inserts = 0;
-      node_splits = 0;
-    }
-
-  let stats t =
-    {
-      hunt_steps = t.hunt_steps;
-      swap_losses = t.swap_losses;
-      stale_skips = t.stale_skips;
-      hunt_passes = t.hunt_passes;
-    }
+    let ext =
+      {
+        layout;
+        capacity;
+        dedups;
+        broken_torn_dec;
+        coalesced_inserts = 0;
+        node_splits = 0;
+      }
+    in
+    make ~mode ~p ~max_level ~seed ~reclamation ~ext ~head ~tail
 
   let co_stats t =
-    { coalesced_inserts = t.coalesced_inserts; node_splits = t.node_splits }
-
-  type pool_stats = { returned : int; recycled : int; pooled : int }
-
-  let pool_stats t =
-    Mutex.lock t.pool_mutex;
-    let pooled = Array.fold_left (fun acc l -> acc + List.length l) 0 t.pool in
-    Mutex.unlock t.pool_mutex;
-    { returned = t.pool_returned; recycled = t.pool_recycled; pooled }
-
-  let rng_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.rngs.(idx) with
-    | Some rng -> rng
-    | None ->
-      Mutex.lock t.rngs_mutex;
-      let rng =
-        match t.rngs.(idx) with
-        | Some rng -> rng
-        | None ->
-          let rng =
-            Repro_util.Rng.of_seed
-              (Int64.add t.seed
-                 (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (idx + 1))))
-          in
-          t.rngs.(idx) <- Some rng;
-          rng
-      in
-      Mutex.unlock t.rngs_mutex;
-      rng
-
-  let random_level t =
-    Repro_util.Rng.geometric_level (rng_for t) ~p:t.p ~max_level:t.max_level
-
-  let read_key node = R.read node.key
-  let read_next node i = R.read node.next.(i - 1)
-  let write_next node i v = R.write node.next.(i - 1) v
-
-  (* ---- packed-word locking ----------------------------------------------
-
-     TTAS CAS-spin on the single word.  Safe on the simulator: every read
-     and CAS is a charged effect, so a spinning processor advances
-     simulated time and the holder gets scheduled.  A CAS lost to a
-     *neighbouring* field's change (another level's bit, the count) just
-     retries — that cross-field interference is the single-line cost the
-     layout deliberately accepts. *)
-
-  let rec acquire_level_packed t node i =
-    let w = R.read node.word in
-    if W.level_locked t.layout w i then acquire_level_packed t node i
-    else if not (R.cas node.word w (W.lock_level t.layout w i)) then
-      acquire_level_packed t node i
-
-  let acquire_level t node i =
-    if Array.length node.sentinel_locks > 0 then
-      R.acquire node.sentinel_locks.(i - 1)
-    else acquire_level_packed t node i
-
-  let rec release_level_packed t node i =
-    let w = R.read node.word in
-    let w' = W.unlock_level t.layout w i in
-    if not (R.cas node.word w w') then release_level_packed t node i
-
-  let release_level t node i =
-    if Array.length node.sentinel_locks > 0 then
-      R.release node.sentinel_locks.(i - 1)
-    else release_level_packed t node i
-
-  let rec acquire_full t node =
-    let w = R.read node.word in
-    if W.full_locked t.layout w then acquire_full t node
-    else if not (R.cas node.word w (W.lock_full t.layout w)) then
-      acquire_full t node
-
-  (* One-shot acquire for callers with a fallback: a single observation
-     and at most one CAS, so a busy or contended word costs two accesses
-     instead of a spin on what is typically the structure's hottest
-     line. *)
-  let try_acquire_full t node =
-    let w = R.read node.word in
-    (not (W.full_locked t.layout w))
-    && R.cas node.word w (W.lock_full t.layout w)
-
-  (* Release the full bit, leaving the count alone. *)
-  let rec release_full t node =
-    let w = R.read node.word in
-    let w' = W.unlock_full t.layout w in
-    if not (R.cas node.word w w') then release_full t node
-
-  (* Release the full bit and commit [transition] (a ticket move — admit,
-     or claim+admit for a dedup update) in the same CAS: a join's
-     admission and its lock release are one atomic word transition.  The
-     claim path is lock-free, so the node can die (claimed catches born)
-     even while we hold the full bit; death is final, so the loop refuses
-     with [false] — WITHOUT releasing the bit, because the caller must
-     unwind its slab append before any other join can see the slab. *)
-  let rec release_full_committing t node ~transition =
-    let w = R.read node.word in
-    if W.count t.layout w = 0 then false
-    else
-      let w' = W.unlock_full t.layout (transition w) in
-      if R.cas node.word w w' then true
-      else release_full_committing t node ~transition
-
-  let enter t = match t.reclamation with None -> () | Some r -> Reclaim.enter r
-  let exit t = match t.reclamation with None -> () | Some r -> Reclaim.exit r
-
-  let retire t node =
-    match t.reclamation with
-    | None -> ()
-    | Some r ->
-      Reclaim.retire r (fun () ->
-          node.poisoned <- true;
-          Mutex.lock t.pool_mutex;
-          t.pool.(node.level - 1) <- node :: t.pool.(node.level - 1);
-          t.pool_returned <- t.pool_returned + 1;
-          Mutex.unlock t.pool_mutex)
+    {
+      coalesced_inserts = t.ext.coalesced_inserts;
+      node_splits = t.ext.node_splits;
+    }
 
   (* Node arena, as in the base queue: a recycled node (value slab
      included) is re-registered cell by cell through [R.refresh] in exactly
      the order [make_node] + the [next] patch registers a fresh node, so
      pooling is invisible to the flat memory model. *)
   let alloc_node t ~key ~slab ~level =
-    let pooled =
-      match t.reclamation with
-      | None -> None
-      | Some _ ->
-        Mutex.lock t.pool_mutex;
-        let n =
-          match t.pool.(level - 1) with
-          | [] -> None
-          | n :: rest ->
-            t.pool.(level - 1) <- rest;
-            t.pool_recycled <- t.pool_recycled + 1;
-            Some n
-        in
-        Mutex.unlock t.pool_mutex;
-        n
-    in
     let born =
       (* Born holding its own full bit: the linking insert releases it
          once every level is spliced (the node-lock role of Fig. 10). *)
-      W.encode t.layout { W.born = 1; claimed = 0; full = true; levels = [] }
+      W.encode t.ext.layout { W.born = 1; claimed = 0; full = true; levels = [] }
     in
-    match pooled with
+    match pooled t ~level with
     | Some n ->
       R.refresh n.key key;
       R.refresh n.slab slab;
@@ -384,34 +295,9 @@ struct
       n
     | None ->
       let n =
-        make_node ~layout:t.layout ~key ~slab ~born:1 ~full:true ~level ()
+        make_node ~layout:t.ext.layout ~key ~slab ~born:1 ~full:true ~level ()
       in
       { n with next = Array.init level (fun _ -> R.shared t.tail) }
-
-  (* Fig. 9's getLock on the packed word: lock the level-[i] pointer of
-     the rightmost node whose key is below [bkey], revalidating after
-     acquisition.  [le] widens "below" to <=, which is what links a fresh
-     duplicate *after* every equal-key node. *)
-  let get_lock t bkey node1 i ~le =
-    let below k =
-      let c = bound_compare k bkey in
-      if le then c <= 0 else c < 0
-    in
-    let node1 = ref node1 in
-    let node2 = ref (read_next !node1 i) in
-    while below (read_key !node2) do
-      node1 := !node2;
-      node2 := read_next !node1 i
-    done;
-    acquire_level t !node1 i;
-    node2 := read_next !node1 i;
-    while below (read_key !node2) do
-      release_level t !node1 i;
-      node1 := !node2;
-      acquire_level t !node1 i;
-      node2 := read_next !node1 i
-    done;
-    !node1
 
   (* Physical removal's predecessor lock must identify the predecessor of
      one *specific* node: with duplicate keys a key-bounded getLock can
@@ -426,7 +312,7 @@ struct
      past it to the tail.  With the single read, every node the walk
      stands on was observed strictly before the victim, whose level-[i]
      linkage only its (unique) remover can change. *)
-  let get_pred_lock t node2 start i =
+  let get_pred_lock t _bkey node2 start i =
     let node1 = ref start in
     let rec walk () =
       let next = read_next !node1 i in
@@ -436,44 +322,18 @@ struct
       end
     in
     walk ();
-    acquire_level t !node1 i;
+    acquire_level t.ext !node1 i;
     let rec revalidate () =
       let next = read_next !node1 i in
       if next != node2 then begin
-        release_level t !node1 i;
+        release_level t.ext !node1 i;
         node1 := next;
-        acquire_level t !node1 i;
+        acquire_level t.ext !node1 i;
         revalidate ()
       end
     in
     revalidate ();
     !node1
-
-  let preds_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.preds.(idx) with
-    | Some saved -> saved
-    | None ->
-      let saved = Array.make t.max_level t.head in
-      Mutex.lock t.rngs_mutex;
-      (match t.preds.(idx) with
-      | None -> t.preds.(idx) <- Some saved
-      | Some _ -> ());
-      Mutex.unlock t.rngs_mutex;
-      (match t.preds.(idx) with Some saved -> saved | None -> assert false)
-
-  let find_preds t bkey =
-    let saved = preds_for t in
-    let node1 = ref t.head in
-    for i = t.max_level downto 1 do
-      let node2 = ref (read_next !node1 i) in
-      while bound_compare (read_key !node2) bkey < 0 do
-        node1 := !node2;
-        node2 := read_next !node1 i
-      done;
-      saved.(i - 1) <- !node1
-    done;
-    saved
 
   (* Fig. 11 lines 15-37 on the packed word: the victim's full bit plays
      the node-lock role.  The walk to the victim and the per-level
@@ -484,17 +344,7 @@ struct
     while !walker != node2 do
       walker := read_next !walker 1
     done;
-    acquire_full t node2;
-    for i = node2.level downto 1 do
-      let node1 = get_pred_lock t node2 saved.(i - 1) i in
-      acquire_level t node2 i;
-      write_next node1 i (read_next node2 i);
-      write_next node2 i node1;
-      release_level t node2 i;
-      release_level t node1 i
-    done;
-    release_full t node2;
-    retire t node2
+    unlink t ~pred_lock:get_pred_lock bkey saved node2
 
   (* The join pass: walk the bottom-level run of equal-key nodes and try
      to coalesce into the first live admissible one.  Inside the
@@ -518,6 +368,7 @@ struct
      [superseded] whether the walk discarded a present element on the way
      (the fresh link is then still an [`Updated] for the caller). *)
   let rec try_join t bkey value node ~saw_full ~superseded =
+    let x = t.ext in
     match bound_compare (read_key node) bkey with
     | c when c > 0 -> `Link (saw_full, superseded)
     | c when c < 0 ->
@@ -526,17 +377,17 @@ struct
       try_join t bkey value (read_next node 1) ~saw_full ~superseded
     | _ ->
       let peek = R.read node.word in
-      if W.count t.layout peek = 0 then
+      if W.count x.layout peek = 0 then
         (* Dead (or mid-removal): refuse with ONE read, without touching
            the full bit — its remover may be holding the bit across the
            whole unlink, and queueing behind it would stall both. *)
         try_join t bkey value (read_next node 1) ~saw_full ~superseded
-      else if W.born t.layout peek >= t.capacity && not t.dedups then begin
+      else if W.born x.layout peek >= x.capacity && not x.dedups then begin
         (* Monotone tickets: born at capacity can never admit again, so
            no need to take the lock to confirm. *)
         try_join t bkey value (read_next node 1) ~saw_full:true ~superseded
       end
-      else if not t.dedups && not (try_acquire_full t node) then
+      else if not x.dedups && not (try_acquire_full x node) then
         (* Multiset mode: joining is an optimization, not an obligation —
            a busy full bit means another join (or this node's unlinking
            remover) already owns the hottest line in the neighbourhood,
@@ -545,15 +396,15 @@ struct
            obligation, so it takes the blocking acquire below. *)
         try_join t bkey value (read_next node 1) ~saw_full:true ~superseded
       else begin
-        if t.dedups then acquire_full t node;
+        if x.dedups then acquire_full x node;
         let w = R.read node.word in
-        if W.count t.layout w = 0 then begin
-          release_full t node;
+        if W.count x.layout w = 0 then begin
+          release_full x node;
           try_join t bkey value (read_next node 1) ~saw_full ~superseded
         end
-        else if W.born t.layout w >= t.capacity then
-          if not t.dedups then begin
-            release_full t node;
+        else if W.born x.layout w >= x.capacity then
+          if not x.dedups then begin
+            release_full x node;
             try_join t bkey value (read_next node 1) ~saw_full:true ~superseded
           end
           else begin
@@ -562,7 +413,7 @@ struct
                fresh; exhausting the node makes us its sole owner exactly
                as a winning delete-min claim does. *)
             let superseded =
-              if release_full_committing t node ~transition:(W.claim t.layout)
+              if release_full_committing x node ~transition:(W.claim x.layout)
               then begin
                 let marked = R.swap node.deleted true in
                 assert (not marked);
@@ -570,7 +421,7 @@ struct
                 true
               end
               else begin
-                release_full t node;
+                release_full x node;
                 superseded
               end
             in
@@ -580,19 +431,19 @@ struct
           let old_slab = R.read node.slab in
           R.write node.slab (value :: old_slab);
           let transition w =
-            if t.dedups then W.claim t.layout (W.admit t.layout w)
-            else W.admit t.layout w
+            if x.dedups then W.claim x.layout (W.admit x.layout w)
+            else W.admit x.layout w
           in
-          if release_full_committing t node ~transition then begin
-            if t.dedups then `Joined `Updated
+          if release_full_committing x node ~transition then begin
+            if x.dedups then `Joined `Updated
             else begin
-              t.coalesced_inserts <- t.coalesced_inserts + 1;
+              x.coalesced_inserts <- x.coalesced_inserts + 1;
               `Joined `Inserted
             end
           end
           else begin
             R.write node.slab old_slab;
-            release_full t node;
+            release_full x node;
             try_join t bkey value (read_next node 1) ~saw_full ~superseded
           end
         end
@@ -609,22 +460,13 @@ struct
       with
       | `Joined r -> r
       | `Link (saw_full, superseded) ->
-        if saw_full then t.node_splits <- t.node_splits + 1;
+        if saw_full then t.ext.node_splits <- t.ext.node_splits + 1;
         let level = random_level t in
         let new_node = alloc_node t ~key:bkey ~slab:[ value ] ~level in
         (* Born holding its own full bit (node-lock role); link bottom-up
            after all equal keys, then open for joins and claims. *)
-        let node1 = ref (get_lock t bkey saved.(0) 1 ~le:true) in
-        for i = 1 to level do
-          if i <> 1 then node1 := get_lock t bkey saved.(i - 1) i ~le:true;
-          write_next new_node i (read_next !node1 i);
-          write_next !node1 i new_node;
-          release_level t !node1 i
-        done;
-        release_full t new_node;
-        (match t.mode with
-        | Strict -> R.write new_node.stamp (R.get_time ())
-        | Relaxed -> ());
+        let node1 = get_lock t bkey saved.(0) 1 in
+        link t bkey saved node1 new_node;
         if superseded then `Updated else `Inserted
     in
     exit t;
@@ -662,6 +504,7 @@ struct
     else match l with v :: tl -> v :: list_take (n - 1) tl | [] -> assert false
 
   let hunt t ~want =
+    let x = t.ext in
     t.hunt_passes <- t.hunt_passes + 1;
     let time =
       match t.mode with Strict -> R.get_time () | Relaxed -> max_int
@@ -713,7 +556,7 @@ struct
            steps under contention land on not-yet-unlinked dead nodes,
            and they should cost neither a stamp-line read nor a CAS. *)
         let try_claim w =
-          let c = W.count t.layout w in
+          let c = W.count x.layout w in
           if c = 0 then `Dead
           else if
             match t.mode with
@@ -723,9 +566,9 @@ struct
           else begin
             t.hunt_steps <- t.hunt_steps + 1;
             let take = Int.min c (want - !got) in
-            let w' = W.claim_n t.layout w take in
+            let w' = W.claim_n x.layout w take in
             let committed =
-              if t.broken_torn_dec then begin
+              if x.broken_torn_dec then begin
                 (* the planted torn claim: see the comment above *)
                 ignore (R.read !node.stamp);
                 ignore (R.read !node.stamp);
@@ -736,7 +579,7 @@ struct
               else R.cas !node.word w w'
             in
             if committed then
-              `Claimed (take, W.claimed t.layout w, W.born t.layout w)
+              `Claimed (take, W.claimed x.layout w, W.born x.layout w)
             else `Lost
           end
         in
@@ -807,17 +650,6 @@ struct
     List.iter (fun (n, bk) -> physically_remove t n bk) b.bdead;
     exit t
 
-  let first_bound t =
-    enter t;
-    let result =
-      match read_key (read_next t.head 1) with
-      | Top -> `Empty
-      | Key k -> `Min_at_most k
-      | Bottom -> assert false (* head is the only Bottom node *)
-    in
-    exit t;
-    result
-
   let delete_min t =
     enter t;
     let claims, dead = hunt t ~want:1 in
@@ -833,11 +665,11 @@ struct
       | Bottom -> walk (read_next node 1)
       | Key k ->
         let w = R.read node.word in
-        if W.count t.layout w = 0 then walk (read_next node 1)
+        if W.count t.ext.layout w = 0 then walk (read_next node 1)
         else
           (* Oldest live element: position claimed + 1 from the end. *)
           let slab = R.read node.slab in
-          let pos = W.claimed t.layout w + 1 in
+          let pos = W.claimed t.ext.layout w + 1 in
           Some (k, List.nth slab (List.length slab - pos))
     in
     let result = walk (read_next t.head 1) in
@@ -856,7 +688,7 @@ struct
       | Key k ->
         let acc =
           let w = R.read node.word in
-          let c = W.count t.layout w in
+          let c = W.count t.ext.layout w in
           if c = 0 then acc
           else
             List.fold_left (fun acc v -> f acc k v) acc
@@ -886,7 +718,7 @@ struct
             else Error "bottom level keys decreasing"
           in
           let w = R.read node.word in
-          let decoded = W.decode t.layout w in
+          let decoded = W.decode t.ext.layout w in
           let* () =
             if decoded.W.full || decoded.W.levels <> [] then
               Error "lock bits held at quiescence"
@@ -897,13 +729,13 @@ struct
             | Key _ ->
               let c = decoded.W.born - decoded.W.claimed in
               if c = 0 then Error "empty (logically deleted) node still linked"
-              else if decoded.W.born > t.capacity then
+              else if decoded.W.born > t.ext.capacity then
                 Error "born ticket above capacity"
               else if List.length (R.read node.slab) <> decoded.W.born then
                 Error "slab length disagrees with the born ticket"
               else if R.read node.deleted then
                 Error "marked node still reachable at quiescence"
-              else if t.dedups && c <> 1 then
+              else if t.ext.dedups && c <> 1 then
                 Error "dedup-mode node holds more than one live element"
               else Ok ()
             | Bottom | Top -> Ok ()

@@ -29,7 +29,7 @@
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
   type 'v t
 
-  type mode = Strict | Relaxed
+  type mode = Locked_skiplist.mode = Strict | Relaxed
 
   module Reclaim : module type of Reclamation.Make (R)
 
@@ -101,7 +101,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   (** {2 Instrumentation} *)
 
-  type op_stats = {
+  type op_stats = Locked_skiplist.op_stats = {
     hunt_steps : int;  (** bottom-level claim attempts by delete-mins *)
     swap_losses : int;
         (** dead nodes stepped over plus claim CASes lost to a
@@ -121,7 +121,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   val co_stats : 'v t -> co_stats
 
-  type pool_stats = { returned : int; recycled : int; pooled : int }
+  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
 
   val pool_stats : 'v t -> pool_stats
   (** As in {!Skipqueue.Make}: non-zero only with [~reclamation]; recycled

@@ -19,6 +19,9 @@ type impl = {
 
 module Key = Repro_pqueue.Key.Int
 
+let registry_procs = 16 (* default_workload concurrency; constructors with
+                           structural parameters take it from here *)
+
 module Over (R : Repro_runtime.Runtime_intf.S) = struct
   module SQ = Repro_skipqueue.Skipqueue.Make (R) (Key)
   module LF = Repro_skipqueue.Skipqueue_lf.Make (R) (Key)
@@ -596,6 +599,43 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
             stats = (fun () -> Bounded.stats b @ inner.stats ());
           });
     }
+
+  (* The registry's default-configured entries, listed once for both
+     runtimes.  [mq] and [klsm256] come from the runtime's own
+     constructors (the native ones drop the simulated charges for
+     host-side work), and [sim_only] entries sit between the plain
+     backends and the bounded façades.  The bounded entries' registry
+     capacity (1024) is far above what the standard mixed-ops check
+     profile admits, so they behave as their inner backend under that
+     sweep; capacity pressure is exercised by the dedicated blocking
+     harness. *)
+  let registry ~mq ~klsm256 ?(sim_only = []) () =
+    [
+      skipqueue ();
+      relaxed_skipqueue ();
+      skipqueue_lf ();
+      skipqueue_co ();
+      skipqueue_co_dedup ();
+      relaxed_skipqueue_co ();
+      elim_skipqueue ();
+      relaxed_elim_skipqueue ();
+      elim_skipqueue_co ();
+      hunt_heap ();
+      funnel_list ();
+      mq;
+      klsm256;
+    ]
+    @ sim_only
+    @ List.map
+        (fun impl -> bounded impl)
+        [
+          skipqueue ();
+          relaxed_skipqueue ();
+          skipqueue_lf ();
+          skipqueue_co ();
+          hunt_heap ();
+          mq;
+        ]
 end
 
 module Sim = struct
@@ -607,6 +647,14 @@ module Sim = struct
       ~spawn_collector:(fun body ->
         Repro_sim.Machine.spawn (fun () -> body Repro_sim.Machine.work))
       ~collector_passes ~collector_period ()
+
+  let registry () =
+    registry
+      ~mq:(multiqueue ~procs:registry_procs ())
+      ~klsm256:(klsm ~k:256 ~procs:registry_procs ())
+      ~sim_only:
+        [ funneled_skipqueue (); skipqueue_with_reclamation (); bin_queue ~range:65_536 () ]
+      ()
 end
 
 module Native = struct
@@ -621,67 +669,19 @@ module Native = struct
   (* Same reasoning: the binary searches and merge walks are real work. *)
   let klsm ?seed ?buffer_capacity ~k ~procs () =
     klsm ?seed ~search_cycles:0 ?buffer_capacity ~k ~procs ()
+
+  let registry () =
+    registry
+      ~mq:(multiqueue ~procs:registry_procs ())
+      ~klsm256:(klsm ~k:256 ~procs:registry_procs ())
+      ()
 end
 
 (* ---- name-keyed registry ------------------------------------------------ *)
 
 type backend = Sim | Native
 
-let registry_procs = 16 (* default_workload concurrency; constructors with
-                           structural parameters take it from here *)
-
-let all = function
-  | Sim ->
-    [
-      Sim.skipqueue ();
-      Sim.relaxed_skipqueue ();
-      Sim.skipqueue_lf ();
-      Sim.skipqueue_co ();
-      Sim.skipqueue_co_dedup ();
-      Sim.relaxed_skipqueue_co ();
-      Sim.elim_skipqueue ();
-      Sim.relaxed_elim_skipqueue ();
-      Sim.elim_skipqueue_co ();
-      Sim.hunt_heap ();
-      Sim.funnel_list ();
-      Sim.multiqueue ~procs:registry_procs ();
-      Sim.klsm ~k:256 ~procs:registry_procs ();
-      Sim.funneled_skipqueue ();
-      Sim.skipqueue_with_reclamation ();
-      Sim.bin_queue ~range:65_536 ();
-      (* Bounded/blocking façade entries.  The registry capacity (1024) is
-         far above what the standard mixed-ops check profile admits, so
-         these behave as their inner backend under that sweep; capacity
-         pressure is exercised by the dedicated blocking harness. *)
-      Sim.bounded (Sim.skipqueue ());
-      Sim.bounded (Sim.relaxed_skipqueue ());
-      Sim.bounded (Sim.skipqueue_lf ());
-      Sim.bounded (Sim.skipqueue_co ());
-      Sim.bounded (Sim.hunt_heap ());
-      Sim.bounded (Sim.multiqueue ~procs:registry_procs ());
-    ]
-  | Native ->
-    [
-      Native.skipqueue ();
-      Native.relaxed_skipqueue ();
-      Native.skipqueue_lf ();
-      Native.skipqueue_co ();
-      Native.skipqueue_co_dedup ();
-      Native.relaxed_skipqueue_co ();
-      Native.elim_skipqueue ();
-      Native.relaxed_elim_skipqueue ();
-      Native.elim_skipqueue_co ();
-      Native.hunt_heap ();
-      Native.funnel_list ();
-      Native.multiqueue ~procs:registry_procs ();
-      Native.klsm ~k:256 ~procs:registry_procs ();
-      Native.bounded (Native.skipqueue ());
-      Native.bounded (Native.relaxed_skipqueue ());
-      Native.bounded (Native.skipqueue_lf ());
-      Native.bounded (Native.skipqueue_co ());
-      Native.bounded (Native.hunt_heap ());
-      Native.bounded (Native.multiqueue ~procs:registry_procs ());
-    ]
+let all = function Sim -> Sim.registry () | Native -> Native.registry ()
 
 let names backend = List.map (fun i -> i.name) (all backend)
 

@@ -89,6 +89,56 @@ let test_work_is_finite () =
   Native.work 1_000_000;
   check "done" true true
 
+(* --- Per_proc ------------------------------------------------------------ *)
+
+module Per_proc = Repro_runtime.Per_proc
+
+let test_per_proc_lazy_once () =
+  let inits = ref [] in
+  let t =
+    Per_proc.create (fun idx ->
+        inits := idx :: !inits;
+        ref idx)
+  in
+  check "nothing created up front" true (!inits = [] && Per_proc.find t 3 = None);
+  let a = Per_proc.get t 3 in
+  check "first get runs init on the slot" true (!inits = [ 3 ] && !a = 3);
+  check "second get reuses the value" true (Per_proc.get t 3 == a);
+  check "find sees it" true
+    (match Per_proc.find t 3 with Some r -> r == a | None -> false);
+  check "init ran once" true (!inits = [ 3 ]);
+  let b = Per_proc.get t 7 in
+  check "another slot, another init" true (!inits = [ 7; 3 ] && b != a)
+
+let test_per_proc_folds_ids () =
+  let t = Per_proc.create (fun idx -> ref idx) in
+  let p = 5 in
+  let a = Per_proc.get t (p + Per_proc.slots) in
+  check_int "init saw the folded slot" p !a;
+  check "p and p + slots share a slot" true (Per_proc.get t p == a);
+  ignore (Per_proc.get t 1);
+  let seen = ref [] in
+  Per_proc.iter (fun r -> seen := !r :: !seen) t;
+  check "iter visits created slots in order" true (List.rev !seen = [ 1; 5 ])
+
+let test_per_proc_racing_domains () =
+  let inits = Atomic.make 0 in
+  let t =
+    Per_proc.create (fun _ ->
+        Atomic.incr inits;
+        (* widen the window in which a second domain could also install *)
+        for _ = 1 to 10_000 do
+          Domain.cpu_relax ()
+        done;
+        ref 0)
+  in
+  for round = 0 to 19 do
+    let got = Array.make 4 (ref (-1)) in
+    Native.run_processors 4 (fun p -> got.(p) <- Per_proc.get t round);
+    check "one instance per slot" true (Array.for_all (fun r -> r == got.(0)) got)
+  done;
+  check_int "init ran once per slot" 20 (Atomic.get inits)
+
 let () =
   Alcotest.run "native-runtime"
     [
@@ -105,5 +155,12 @@ let () =
           Alcotest.test_case "lock mutual exclusion" `Quick test_locks_mutual_exclusion;
           Alcotest.test_case "swap transfers tokens" `Quick test_swap_transfers_tokens;
           Alcotest.test_case "work terminates" `Quick test_work_is_finite;
+        ] );
+      ( "per-proc",
+        [
+          Alcotest.test_case "lazy, once per slot" `Quick test_per_proc_lazy_once;
+          Alcotest.test_case "ids fold into slots" `Quick test_per_proc_folds_ids;
+          Alcotest.test_case "racing domains install one value" `Quick
+            test_per_proc_racing_domains;
         ] );
     ]

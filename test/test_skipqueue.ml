@@ -635,6 +635,30 @@ let test_native_stress () =
   in
   check "no lost or invented elements" true (S.equal all_in all_out)
 
+(* --- Node_pool ------------------------------------------------------------ *)
+
+module Node_pool = Repro_skipqueue.Node_pool
+
+let test_node_pool_lifo_and_counts () =
+  let pool = Node_pool.create ~levels:3 in
+  let stats () =
+    let s = Node_pool.stats pool in
+    (s.Node_pool.returned, s.Node_pool.recycled, s.Node_pool.pooled)
+  in
+  check "empty pool" true (stats () = (0, 0, 0) && Node_pool.pop pool ~level:2 = None);
+  Node_pool.push pool ~level:2 "a";
+  Node_pool.push pool ~level:2 "b";
+  Node_pool.push pool ~level:1 "c";
+  Node_pool.push pool ~level:3 "d";
+  check "pushes counted" true (stats () = (4, 0, 4));
+  check "last pushed first" true (Node_pool.pop pool ~level:2 = Some "b");
+  check "per height" true (Node_pool.pop pool ~level:1 = Some "c");
+  check "height drained" true (Node_pool.pop pool ~level:1 = None);
+  check "misses not counted" true (stats () = (4, 2, 2));
+  check "then the earlier one" true (Node_pool.pop pool ~level:2 = Some "a");
+  Node_pool.push pool ~level:2 "e";
+  check "returned = recycled + pooled" true (stats () = (5, 3, 2))
+
 let () =
   Alcotest.run "skipqueue"
     [
@@ -677,6 +701,8 @@ let () =
             test_node_recycling_through_pool;
           Alcotest.test_case "lock-free ABA/recycle guard" `Quick
             test_lf_aba_recycle_guard;
+          Alcotest.test_case "node pool LIFO per height, counters" `Quick
+            test_node_pool_lifo_and_counts;
         ] );
       ( "native",
         [
