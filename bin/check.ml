@@ -48,7 +48,7 @@ let strip_bounded name =
   else name
 
 let blocking_defaults () =
-  [ QA.Sim.skipqueue (); QA.Sim.relaxed_skipqueue (); QA.Sim.skipqueue_lf ();
+  [ QA.Sim.skipqueue (); QA.Sim.(plain (relaxed skipqueue_base)); QA.Sim.skipqueue_lf ();
     QA.Sim.hunt_heap (); QA.Sim.multiqueue ~procs:16 () ]
 
 (* (impl, uses-blocking-harness) pairs for the sweep. *)

@@ -14,14 +14,7 @@ open Cmdliner
 let run structure procs initial ops insert_ratio work =
   let module QA = Repro_workload.Queue_adapter in
   let impl =
-    (* Short CLI spellings on top of the adapter registry's names. *)
-    let name =
-      match String.lowercase_ascii structure with
-      | "relaxed" -> "Relaxed SkipQueue"
-      | "funneled" -> "SkipQueue + delete funnel"
-      | other -> other
-    in
-    match QA.find QA.Sim name with
+    match QA.find QA.Sim structure with
     | impl -> impl
     | exception Invalid_argument msg ->
       Printf.eprintf "%s\n" msg;
@@ -91,9 +84,10 @@ let structure =
     & opt string "skipqueue"
     & info [ "structure"; "s" ] ~docv:"NAME"
         ~doc:
-          "Structure to profile: any adapter-registry name (skipqueue, \
-           relaxed, heap, funnellist, multiqueue, ...), matched case- and \
-           space-insensitively.")
+          "Structure to profile: any name of the adapter's grammar \
+           ([bounded:][Relaxed ]<base>[-elim], klsm:<k>; for example \
+           skipqueue, \"Relaxed SkipQueue\", SkipQueue-co-elim, heap, \
+           multiqueue), matched case- and space-insensitively.")
 
 let procs =
   Arg.(value & opt int 64 & info [ "procs"; "p" ] ~docv:"N" ~doc:"Virtual processors.")

@@ -39,47 +39,27 @@ end
 
 module SQ = Repro_skipqueue.Skipqueue.Make (Torn_swap_runtime) (Repro_pqueue.Key.Int)
 
-(* Minimal instance plumbing for the mutants: blocking entry points fall
-   back to the same poll loop the adapter uses for unbounded backends. *)
-let mk_instance ~insert ~try_delete_min =
-  let rec poll_pop () =
-    match try_delete_min () with
-    | Some kv -> kv
-    | None ->
-      Repro_sim.Sim_runtime.yield ();
-      poll_pop ()
-  in
-  let rec drain acc n =
-    if n <= 0 then List.rev acc
-    else
-      match try_delete_min () with
-      | Some kv -> drain (kv :: acc) (n - 1)
-      | None -> List.rev acc
-  in
-  {
-    Repro_workload.Queue_adapter.insert;
-    insert_wait = insert;
-    try_delete_min;
-    delete_min_wait = poll_pop;
-    insert_batch = (fun kvs -> Array.iter (fun (k, v) -> insert k v) kvs);
-    delete_min_batch = (fun want -> drain [] want);
-    stats = (fun () -> []);
-  }
+(* Mutant instances are built with the adapter's simulator [instance]:
+   the mutants' runtimes differ from the simulator's only in [read],
+   [swap] and [cas], so its lock counters and yield-poll loop serve them
+   unchanged. *)
+module QA = Repro_workload.Queue_adapter
 
 let name = "BrokenSkipQueue"
 
 let skipqueue () =
   {
-    Repro_workload.Queue_adapter.name;
+    QA.name;
     dedups = true;
-    spec = Repro_workload.Queue_adapter.Linearizable;
+    spec = QA.Linearizable;
     create =
       (fun () ->
         reads := 0;
         let q = SQ.create ~mode:SQ.Strict () in
-        mk_instance
+        QA.Sim.instance
           ~insert:(fun k v -> ignore (SQ.insert q k v))
-          ~try_delete_min:(fun () -> SQ.delete_min q));
+          ~try_delete_min:(fun () -> SQ.delete_min q)
+          ~stats:(fun () -> []));
   }
 
 (* The elimination mutant: a runtime whose CAS is torn into a read, a
@@ -110,6 +90,8 @@ end
 module Elim =
   Repro_skipqueue.Elimination.Make (Torn_cas_runtime) (Repro_pqueue.Key.Int)
 
+module SQ_cas = Repro_skipqueue.Skipqueue.Make (Torn_cas_runtime) (Repro_pqueue.Key.Int)
+
 let elim_name = "BrokenElimSkipQueue"
 
 (* A single always-active slot and a long, fast-polling window keep the
@@ -117,19 +99,22 @@ let elim_name = "BrokenElimSkipQueue"
    torn-CAS races fire within a few seeds. *)
 let elim_skipqueue () =
   {
-    Repro_workload.Queue_adapter.name = elim_name;
+    QA.name = elim_name;
     dedups = true;
-    spec = Repro_workload.Queue_adapter.Linearizable;
+    spec = QA.Linearizable;
     create =
       (fun () ->
         reads := 0;
         let q =
-          Elim.create ~mode:Elim.SQ.Strict ~slots:1 ~width:1 ~window:64
-            ~max_window:64 ~poll_cycles:4 ~bound_every:1 ~adaptive:false ()
+          Elim.create ~slots:1 ~width:1 ~window:64 ~max_window:64 ~poll_cycles:4
+            ~bound_every:1 ~adaptive:false
+            ~backing:(fun () -> SQ_cas.create ~mode:SQ_cas.Strict ())
+            ()
         in
-        mk_instance
+        QA.Sim.instance
           ~insert:(fun k v -> ignore (Elim.insert q k v))
-          ~try_delete_min:(fun () -> Elim.delete_min q));
+          ~try_delete_min:(fun () -> Elim.delete_min q)
+          ~stats:(fun () -> []));
   }
 
 (* The torn-claim mutant: the lock-free SkipQueue over the same torn-CAS
@@ -148,16 +133,17 @@ let lf_claim_name = "BrokenLfClaimSkipQueue"
 
 let lf_claim_skipqueue () =
   {
-    Repro_workload.Queue_adapter.name = lf_claim_name;
+    QA.name = lf_claim_name;
     dedups = false;
-    spec = Repro_workload.Queue_adapter.Linearizable;
+    spec = QA.Linearizable;
     create =
       (fun () ->
         reads := 0;
         let q = LfTorn.create ~restructure_threshold:1 () in
-        mk_instance
+        QA.Sim.instance
           ~insert:(fun k v -> LfTorn.insert q k v)
-          ~try_delete_min:(fun () -> LfTorn.delete_min q));
+          ~try_delete_min:(fun () -> LfTorn.delete_min q)
+          ~stats:(fun () -> []));
   }
 
 (* The premature-free mutant: the (correct, atomic) lock-free SkipQueue
@@ -194,18 +180,19 @@ let lf_free_name = "BrokenLfFreeSkipQueue"
 
 let lf_free_skipqueue () =
   {
-    Repro_workload.Queue_adapter.name = lf_free_name;
+    QA.name = lf_free_name;
     dedups = false;
-    spec = Repro_workload.Queue_adapter.Linearizable;
+    spec = QA.Linearizable;
     create =
       (fun () ->
         reads := 0;
         let q =
           LfGood.create ~restructure_threshold:1 ~broken_premature_free:true ()
         in
-        mk_instance
+        QA.Sim.instance
           ~insert:(fun k v -> LfGood.insert q k v)
-          ~try_delete_min:(fun () -> LfGood.delete_min q));
+          ~try_delete_min:(fun () -> LfGood.delete_min q)
+          ~stats:(fun () -> []));
   }
 
 (* The torn-lockword mutant: the coalescing SkipQueue with
@@ -244,9 +231,9 @@ let co_name = "BrokenCoSkipQueue"
 
 let co_lockword () =
   {
-    Repro_workload.Queue_adapter.name = co_name;
+    QA.name = co_name;
     dedups = false;
-    spec = Repro_workload.Queue_adapter.Linearizable;
+    spec = QA.Linearizable;
     create =
       (fun () ->
         reads := 0;
@@ -254,9 +241,10 @@ let co_lockword () =
           CoTorn.create ~mode:CoTorn.Strict ~capacity:1 ~broken_torn_dec:true
             ()
         in
-        mk_instance
+        QA.Sim.instance
           ~insert:(fun k v -> ignore (CoTorn.insert q k v))
-          ~try_delete_min:(fun () -> CoTorn.delete_min q));
+          ~try_delete_min:(fun () -> CoTorn.delete_min q)
+          ~stats:(fun () -> []));
   }
 
 (* The torn-spill mutant: the k-LSM with [broken_spill] planted — the
@@ -279,16 +267,17 @@ let klsm_spill_name = "Broken klsm:1 (torn spill)"
 
 let klsm_spill () =
   {
-    Repro_workload.Queue_adapter.name = klsm_spill_name;
+    QA.name = klsm_spill_name;
     dedups = false;
-    spec = Repro_workload.Queue_adapter.Rank_bounded;
+    spec = QA.Rank_bounded;
     create =
       (fun () ->
         reads := 0;
         let q = KlsmTorn.create ~k:1 ~procs:6 ~broken_spill:true () in
-        mk_instance
+        QA.Sim.instance
           ~insert:(fun k v -> KlsmTorn.insert q k v)
-          ~try_delete_min:(fun () -> KlsmTorn.delete_min q));
+          ~try_delete_min:(fun () -> KlsmTorn.delete_min q)
+          ~stats:(fun () -> []));
   }
 
 (* The lost-wakeup mutant: the bounded façade with [broken_wakeup] set —
@@ -307,9 +296,9 @@ let wakeup_name = "BrokenBoundedSkipQueue"
 
 let bounded_skipqueue ?(capacity = 4) () =
   {
-    Repro_workload.Queue_adapter.name = wakeup_name;
+    QA.name = wakeup_name;
     dedups = true;
-    spec = Repro_workload.Queue_adapter.Linearizable;
+    spec = QA.Linearizable;
     create =
       (fun () ->
         let q = GoodSQ.create ~mode:GoodSQ.Strict () in
@@ -321,8 +310,7 @@ let bounded_skipqueue ?(capacity = 4) () =
             ()
         in
         {
-          Repro_workload.Queue_adapter.insert =
-            (fun k v -> Bounded.insert_wait b k v);
+          QA.insert = (fun k v -> Bounded.insert_wait b k v);
           insert_wait = (fun k v -> Bounded.insert_wait b k v);
           try_delete_min = (fun () -> Bounded.try_delete_min b);
           delete_min_wait = (fun () -> Bounded.delete_min_wait b);

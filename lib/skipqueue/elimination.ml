@@ -1,31 +1,14 @@
 (* The front end is generic in its backing queue: anything exposing the
    claim/batch half of the SkipQueue's Delete-min split (first_bound,
-   hunt_batch) composes.  [Over] is the generic functor; [Make] is the
-   historical instantiation over {!Skipqueue}; the adapter also applies
-   [Over] to the coalescing queue ({!Skipqueue_co}). *)
+   hunt_batch) composes.  [Over] is the generic functor and takes the
+   backing's constructor at [create]; [Make] is the historical
+   instantiation over {!Skipqueue}; the adapter applies [Over] to each
+   locked-skiplist base. *)
 
 module type BACKING = sig
   type key
-  type reclaim
   type 'v t
-  type mode = Strict | Relaxed
   type 'v batch
-
-  type op_stats = {
-    hunt_steps : int;
-    swap_losses : int;
-    stale_skips : int;
-    hunt_passes : int;
-  }
-
-  val create :
-    ?mode:mode ->
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?reclamation:reclaim ->
-    unit ->
-    'v t
 
   val insert : 'v t -> key -> 'v -> [ `Inserted | `Updated ]
   val first_bound : 'v t -> [ `Empty | `Min_at_most of key ]
@@ -35,7 +18,6 @@ module type BACKING = sig
   val size : 'v t -> int
   val to_list : 'v t -> (key * 'v) list
   val check_invariants : 'v t -> (unit, string) result
-  val stats : 'v t -> op_stats
 end
 
 module Over
@@ -43,7 +25,6 @@ module Over
     (K : Repro_pqueue.Key.ORDERED)
     (Q : BACKING with type key = K.t) =
 struct
-  module SQ = Q
   module Per_proc = Repro_runtime.Per_proc
 
   (* Published by a deleter: only an insert whose key is strictly below
@@ -93,7 +74,7 @@ struct
   type local = { mutable lwidth : int; mutable lwindow : int }
 
   type 'v t = {
-    q : 'v SQ.t;
+    q : 'v Q.t;
     slots : 'v slot R.shared array;
     max_window : int;
     poll_cycles : int;
@@ -116,9 +97,9 @@ struct
     mutable stat_collisions : int;
   }
 
-  let create ?mode ?p ?max_level ?seed ?reclamation ?(slots = 64) ?(width = 8)
-      ?(window = 32) ?(max_window = 128) ?(poll_cycles = 16) ?(serve_cap = 8)
-      ?(bound_every = 8) ?(adaptive = true) () =
+  let create ?seed ?(slots = 64) ?(width = 8) ?(window = 32) ?(max_window = 128)
+      ?(poll_cycles = 16) ?(serve_cap = 8) ?(bound_every = 8) ?(adaptive = true)
+      ~backing () =
     if slots < 1 then invalid_arg "Elimination.create: slots < 1";
     if width < 1 || width > slots then
       invalid_arg "Elimination.create: width outside [1, slots]";
@@ -129,16 +110,20 @@ struct
     if bound_every < 1 then invalid_arg "Elimination.create: bound_every < 1";
     let slot_seed = Int64.mul (Option.value seed ~default:0x5EEDL) 0x2545F4914F6CDD1DL in
     {
-      q = SQ.create ?mode ?p ?max_level ?seed ?reclamation ();
+      (* Both compilers evaluate record fields right to left, so
+         [backing] runs after the slot array has registered its cells.
+         That registration order fixes the simulated line ids, and with
+         them every simulated number (DESIGN.md §S15). *)
+      q = backing ();
       slots = Array.init slots (fun _ -> R.shared Free);
       max_window;
       poll_cycles;
       serve_cap;
       bound_every;
       adaptive;
-      (* Slot-choice streams: the queue seed, pre-mixed so they differ
-         from the backing queue's level streams, plus the processor's
-         slot. *)
+      (* Slot-choice streams: the seed (callers hand the backing the
+         same one), pre-mixed so they differ from the backing queue's
+         level streams, plus the processor's slot. *)
       rngs =
         Per_proc.create (fun idx ->
             Repro_util.Rng.of_seed
@@ -189,7 +174,7 @@ struct
     end
 
   let fresh_bound t =
-    match SQ.first_bound t.q with
+    match Q.first_bound t.q with
     | `Empty -> Unbounded
     | `Min_at_most k -> At_most k
 
@@ -249,9 +234,9 @@ struct
      hand-off — falls inside all their windows (DESIGN.md §S15). *)
   let direct_delete t =
     let reserved = if t.serve_cap = 0 then [] else reserve_waiters t in
-    let batch = SQ.hunt_batch t.q ~want:(1 + List.length reserved) in
+    let batch = Q.hunt_batch t.q ~want:(1 + List.length reserved) in
     let own, extras =
-      match SQ.batch_claims batch with
+      match Q.batch_claims batch with
       | [] -> (None, [])
       | kv :: rest -> (Some kv, rest)
     in
@@ -269,7 +254,7 @@ struct
     in
     deliver reserved extras;
     if reserved <> [] then t.stat_batches <- t.stat_batches + 1;
-    SQ.finish_batch t.q batch;
+    Q.finish_batch t.q batch;
     own
 
   (* --- the waiting path ------------------------------------------------ *)
@@ -359,22 +344,22 @@ struct
     | Waiting w when key_within key w.bound ->
       if not (key_within key (fresh_bound t)) then begin
         t.stat_fresh_refusals <- t.stat_fresh_refusals + 1;
-        SQ.insert t.q key value
+        Q.insert t.q key value
       end
       else if R.cas w.answer Pending (Got (Some (key, value))) then begin
         t.stat_eliminated <- t.stat_eliminated + 1;
         `Inserted
       end
-      else SQ.insert t.q key value
-    | Waiting _ | Free -> SQ.insert t.q key value
+      else Q.insert t.q key value
+    | Waiting _ | Free -> Q.insert t.q key value
 
   (* --- quiescent views -------------------------------------------------- *)
 
-  let size t = SQ.size t.q
-  let to_list t = SQ.to_list t.q
+  let size t = Q.size t.q
+  let to_list t = Q.to_list t.q
 
   let check_invariants t =
-    match SQ.check_invariants t.q with
+    match Q.check_invariants t.q with
     | Error _ as e -> e
     | Ok () ->
       if
@@ -397,7 +382,7 @@ struct
       window = t.window_now;
     }
 
-  let queue_stats t = SQ.stats t.q
+  let backing t = t.q
 end
 
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =

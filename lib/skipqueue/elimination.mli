@@ -64,8 +64,9 @@
 (** The queue interface the front end needs: the claim/batch half of the
     SkipQueue's Delete-min split (first_bound, hunt_batch / batch_claims /
     finish_batch) plus the plain entry points.  {!Skipqueue.Make} and
-    {!Skipqueue_co.Make} both satisfy it directly: each exports the
-    [key]/[reclaim] aliases.
+    {!Skipqueue_co.Make} both satisfy it directly: each exports the [key]
+    alias.  Construction is not part of it — {!Over.create} takes the
+    backing's constructor, so each backing keeps its own knobs.
 
     The front end's correctness argument needs one property beyond the
     signature: an eliminated key is strictly below the published {e and}
@@ -74,26 +75,8 @@
     can never {e coalesce} with) anything in the structure. *)
 module type BACKING = sig
   type key
-  type reclaim
   type 'v t
-  type mode = Strict | Relaxed
   type 'v batch
-
-  type op_stats = {
-    hunt_steps : int;
-    swap_losses : int;
-    stale_skips : int;
-    hunt_passes : int;
-  }
-
-  val create :
-    ?mode:mode ->
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?reclamation:reclaim ->
-    unit ->
-    'v t
 
   val insert : 'v t -> key -> 'v -> [ `Inserted | `Updated ]
   val first_bound : 'v t -> [ `Empty | `Min_at_most of key ]
@@ -103,28 +86,16 @@ module type BACKING = sig
   val size : 'v t -> int
   val to_list : 'v t -> (key * 'v) list
   val check_invariants : 'v t -> (unit, string) result
-  val stats : 'v t -> op_stats
 end
 
 module Over
     (R : Repro_runtime.Runtime_intf.S)
     (K : Repro_pqueue.Key.ORDERED)
     (Q : BACKING with type key = K.t) : sig
-  module SQ :
-    BACKING
-      with type key = K.t
-       and type reclaim = Q.reclaim
-       and type 'v t = 'v Q.t
-       and type 'v batch = 'v Q.batch
-
   type 'v t
 
   val create :
-    ?mode:SQ.mode ->
-    ?p:float ->
-    ?max_level:int ->
     ?seed:int64 ->
-    ?reclamation:SQ.reclaim ->
     ?slots:int ->
     ?width:int ->
     ?window:int ->
@@ -133,10 +104,14 @@ module Over
     ?serve_cap:int ->
     ?bound_every:int ->
     ?adaptive:bool ->
+    backing:(unit -> 'v Q.t) ->
     unit ->
     'v t
-  (** [mode], [p], [max_level], [seed] and [reclamation] parameterize the
-      underlying {!SQ.create}.  Front-end knobs:
+  (** [backing] builds the queue behind the front end, for example
+      [~backing:(fun () -> SQ.create ~mode ~seed ())]; it is called once,
+      after the elimination slots have registered their shared cells (the
+      registration order fixes the simulator's line ids).  [seed] seeds
+      the per-processor slot-choice streams.  Front-end knobs:
       - [slots] (default 64): capacity of the elimination array;
       - [width] (default 8): each processor's initial active prefix;
         adaptation stays in [\[1, slots\]] and only grows;
@@ -157,17 +132,17 @@ module Over
       below both the published bound and a freshly observed one) the
       binding is handed to the waiting deleter and the call returns
       [`Inserted] — correct, since a key strictly below every settled
-      element cannot be present.  Otherwise {!SQ.insert}. *)
+      element cannot be present.  Otherwise the backing's [insert]. *)
 
   val delete_min : 'v t -> (K.t * 'v) option
   (** Publish-poll-withdraw as described above; the direct path combines.
       [None] is the paper's EMPTY. *)
 
   val size : 'v t -> int
-  (** {!SQ.size} of the backing queue.  Quiescent use only. *)
+  (** Size of the backing queue.  Quiescent use only. *)
 
   val to_list : 'v t -> (K.t * 'v) list
-  (** {!SQ.to_list} of the backing queue.  Quiescent use only. *)
+  (** Bindings of the backing queue.  Quiescent use only. *)
 
   val check_invariants : 'v t -> (unit, string) result
   (** Backing-queue structural check plus front-end quiescence: at rest
@@ -194,8 +169,8 @@ module Over
   (** Cumulative since creation; host-side counters, free on the
       simulator, approximate under native races. *)
 
-  val queue_stats : 'v t -> SQ.op_stats
-  (** {!SQ.stats} of the backing queue. *)
+  val backing : 'v t -> 'v Q.t
+  (** The queue behind the front end, for its own counters. *)
 end
 
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) :

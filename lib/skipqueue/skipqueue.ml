@@ -40,9 +40,9 @@ struct
 
   include Locked_skiplist.Make (R) (K) (Layout)
 
-  (* Aliases making the module a valid [Elimination.BACKING]. *)
+  (* Alias making the module a valid [Elimination.BACKING] (which names
+     its key type [key]). *)
   type key = K.t
-  type reclaim = Reclaim.t
 
   let make_node ?(deleted = false) ~key ~value ~level () =
     {

@@ -199,9 +199,9 @@ struct
 
   include Locked_skiplist.Make (R) (K) (Layout)
 
-  (* Aliases making the module a valid [Elimination.BACKING]. *)
+  (* Alias making the module a valid [Elimination.BACKING] (which names
+     its key type [key]). *)
   type key = K.t
-  type reclaim = Reclaim.t
 
   (* Registration order of a node's shared locations is part of the
      protocol: [alloc_node] refreshes a recycled node's cells in exactly

@@ -36,9 +36,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   type key = K.t
   (** Alias making the module a valid {!Elimination.BACKING}. *)
 
-  type reclaim = Reclaim.t
-  (** Likewise. *)
-
   val create :
     ?mode:mode ->
     ?p:float ->

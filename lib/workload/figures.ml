@@ -278,7 +278,7 @@ let fig5 options =
 
 let relaxed_figure options ~id ~title ~initial ~ops ~insert_ratio =
   let impls =
-    [ Queue_adapter.Sim.skipqueue (); Queue_adapter.Sim.relaxed_skipqueue () ]
+    [ Queue_adapter.Sim.skipqueue (); Queue_adapter.Sim.(plain (relaxed skipqueue_base)) ]
   in
   let series =
     List.map
@@ -366,7 +366,7 @@ let multiqueue options =
     in
     [
       ( "Relaxed SkipQueue",
-        sweep options ~impl:(Queue_adapter.Sim.relaxed_skipqueue ()) ~workload_of );
+        sweep options ~impl:(Queue_adapter.Sim.(plain (relaxed skipqueue_base))) ~workload_of );
       ( "MultiQueue",
         sweep_per_procs options
           ~name:(Printf.sprintf "MultiQueue [%s]" tag)
@@ -501,7 +501,7 @@ let ablation_timestamp options =
     Benchmark.run impl w
   in
   let strict = run (Queue_adapter.Sim.skipqueue ()) in
-  let relaxed = run (Queue_adapter.Sim.relaxed_skipqueue ()) in
+  let relaxed = run (Queue_adapter.Sim.(plain (relaxed skipqueue_base))) in
   let line name m =
     Printf.sprintf "%-18s delete mean %8.0f  insert mean %8.0f  %s\n" name
       (del m) (ins m)
@@ -695,15 +695,15 @@ let ablation_elimination options =
     series_for
       [
         Queue_adapter.Sim.skipqueue ();
-        Queue_adapter.Sim.elim_skipqueue ();
-        Queue_adapter.Sim.relaxed_skipqueue ();
-        Queue_adapter.Sim.relaxed_elim_skipqueue ();
+        Queue_adapter.Sim.(elim skipqueue_base);
+        Queue_adapter.Sim.(plain (relaxed skipqueue_base));
+        Queue_adapter.Sim.(elim (relaxed skipqueue_base));
       ]
       ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
   in
   let fig8_series =
     series_for
-      [ Queue_adapter.Sim.skipqueue (); Queue_adapter.Sim.elim_skipqueue () ]
+      [ Queue_adapter.Sim.skipqueue (); Queue_adapter.Sim.(elim skipqueue_base) ]
       ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3
   in
   let top = 1 lsl options.max_procs_log2 in
@@ -759,7 +759,7 @@ let ablation_elimination options =
       (hottest_queued summary) (top8_queued summary)
   in
   let plain_probe = probe (Queue_adapter.Sim.skipqueue ()) in
-  let elim_probe = probe (Queue_adapter.Sim.elim_skipqueue ()) in
+  let elim_probe = probe (Queue_adapter.Sim.(elim skipqueue_base)) in
   let front_counters =
     stats_line (at fig7_series "SkipQueue-elim" top).Benchmark.queue_stats
   in
@@ -818,7 +818,7 @@ let ablation_lockfree options =
   let impls () =
     [
       Queue_adapter.Sim.skipqueue ();
-      Queue_adapter.Sim.elim_skipqueue ();
+      Queue_adapter.Sim.(elim skipqueue_base);
       Queue_adapter.Sim.skipqueue_lf ();
     ]
   in
@@ -884,7 +884,7 @@ let ablation_lockfree options =
       (hottest_queued summary) (top8_queued summary)
   in
   let plain_probe = probe (Queue_adapter.Sim.skipqueue ()) in
-  let elim_probe = probe (Queue_adapter.Sim.elim_skipqueue ()) in
+  let elim_probe = probe (Queue_adapter.Sim.(elim skipqueue_base)) in
   let lf_probe = probe (Queue_adapter.Sim.skipqueue_lf ()) in
   let lf_counters =
     stats_line (at fig7_series "SkipQueue-lf" top).Benchmark.queue_stats
@@ -969,7 +969,7 @@ let scheduler options =
         fun ~procs:_ -> Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.skipqueue ()) );
       ( "bounded:Relaxed SkipQueue",
         fun ~procs:_ ->
-          Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.relaxed_skipqueue ()) );
+          Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.(plain (relaxed skipqueue_base))) );
       ( "bounded:SkipQueue-lf",
         fun ~procs:_ ->
           Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.skipqueue_lf ()) );
@@ -1154,7 +1154,7 @@ let klsm_shootout options =
     in
     [
       ( "Relaxed SkipQueue",
-        sweep options ~impl:(Queue_adapter.Sim.relaxed_skipqueue ()) ~workload_of );
+        sweep options ~impl:(Queue_adapter.Sim.(plain (relaxed skipqueue_base))) ~workload_of );
       ( "MultiQueue",
         sweep_per_procs options
           ~name:(Printf.sprintf "MultiQueue [%s]" tag)
@@ -1266,7 +1266,7 @@ let duplicate_heavy options =
   let impls () =
     [
       Queue_adapter.Sim.skipqueue ();
-      Queue_adapter.Sim.skipqueue_co ();
+      Queue_adapter.Sim.(plain co_base);
       Queue_adapter.Sim.elim_skipqueue_co ();
       Queue_adapter.Sim.skipqueue_lf ();
     ]
@@ -1339,7 +1339,7 @@ let duplicate_heavy options =
       (hottest_queued summary) (top8_queued summary)
   in
   let plain_probe = probe (Queue_adapter.Sim.skipqueue ()) in
-  let co_probe = probe (Queue_adapter.Sim.skipqueue_co ()) in
+  let co_probe = probe (Queue_adapter.Sim.(plain co_base)) in
   let co_elim_probe = probe (Queue_adapter.Sim.elim_skipqueue_co ()) in
   let lf_probe = probe (Queue_adapter.Sim.skipqueue_lf ()) in
   let series_256 = List.assoc 256 range_series in

@@ -18,30 +18,40 @@ type impl = {
 }
 
 module Key = Repro_pqueue.Key.Int
+module LS = Repro_skipqueue.Locked_skiplist
 
 let registry_procs = 16 (* default_workload concurrency; constructors with
                            structural parameters take it from here *)
+
+(* The element-at-a-time bulk paths every backend gains for free. *)
+let insert_each insert kvs = Array.iter (fun (k, v) -> insert k v) kvs
+
+let drain try_delete_min want =
+  let rec go acc n =
+    if n <= 0 then List.rev acc
+    else
+      match try_delete_min () with
+      | Some kv -> go (kv :: acc) (n - 1)
+      | None -> List.rev acc
+  in
+  go [] want
+
+(* What the name grammar composes on one runtime: each locked-skiplist
+   base with its [relaxed]/[elim] combinators applied on request, the
+   other bases (those the grammar can only wrap in [bounded:]), the
+   runtime-only ones, the k-LSM family and the façade. *)
+type runtime = {
+  locked : (string * (relaxed:bool -> elim:bool -> impl)) list;
+  others : impl list;
+  extra : impl list;
+  klsm : int -> impl;
+  bounded : impl -> impl;
+}
 
 module Over (R : Repro_runtime.Runtime_intf.S) = struct
   module SQ = Repro_skipqueue.Skipqueue.Make (R) (Key)
   module LF = Repro_skipqueue.Skipqueue_lf.Make (R) (Key)
   module CO = Repro_skipqueue.Skipqueue_co.Make (R) (Key)
-  module Elim = Repro_skipqueue.Elimination.Make (R) (Key)
-
-  (* The elimination front end over the coalescing queue: [Over] needs
-     BACKING's create arity, so the wrapper pins the coalescing knobs to
-     their defaults (multiset semantics, default capacity).  An eliminated
-     pair never reaches the structure, so it can never also coalesce —
-     strict-below-bound admission keeps the exchanged key distinct from
-     every settled element (see Elimination.BACKING). *)
-  module ElimCo =
-    Repro_skipqueue.Elimination.Over (R) (Key)
-      (struct
-        include CO
-
-        let create ?mode ?p ?max_level ?seed ?reclamation () =
-          CO.create ?mode ?p ?max_level ?seed ?reclamation ()
-      end)
   module Heap = Repro_heap.Hunt_heap.Make (R) (Key)
   module FL = Repro_funnel.Funnel_list.Make (R) (Key)
   module Funnel = Repro_funnel.Combining_funnel.Make (R)
@@ -58,13 +68,11 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
      full, so [insert_wait] is [insert]; [delete_min_wait] polls — real
      parking comes from the {!bounded} façade, which replaces both.
 
-     The bulk entry points default to element-at-a-time loops so every
-     backend gains them for free; structures with a genuine batch path
-     (the SkipQueue's [hunt_batch], the k-LSM's block publish) override
-     them via [?insert_batch]/[?delete_min_batch].  Both count [ops] per
-     element, like the loops they replace. *)
-  let instance ~insert ?insert_batch ~try_delete_min ?delete_min_batch ~stats
-      () =
+     Structures with a genuine batch path (the locked skiplists'
+     [hunt_batch], the k-LSM's block publish) pass it here; {!instance}
+     passes the element-at-a-time loops.  Both count [ops] per element,
+     like the loops they replace. *)
+  let counted ~insert ~insert_batch ~try_delete_min ~delete_min_batch ~stats =
     let ops = ref 0 in
     let base_acq, base_fail = R.lock_stats () in
     let rec poll_pop () =
@@ -73,25 +81,6 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
       | None ->
         R.yield ();
         poll_pop ()
-    in
-    let do_insert_batch =
-      match insert_batch with
-      | Some f -> f
-      | None -> fun kvs -> Array.iter (fun (k, v) -> insert k v) kvs
-    in
-    let do_delete_batch =
-      match delete_min_batch with
-      | Some f -> f
-      | None ->
-        fun want ->
-          let rec go acc n =
-            if n <= 0 then List.rev acc
-            else
-              match try_delete_min () with
-              | Some kv -> go (kv :: acc) (n - 1)
-              | None -> List.rev acc
-          in
-          go [] want
     in
     {
       insert =
@@ -113,10 +102,10 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
       insert_batch =
         (fun kvs ->
           ops := !ops + Array.length kvs;
-          do_insert_batch kvs);
+          insert_batch kvs);
       delete_min_batch =
         (fun want ->
-          let r = do_delete_batch want in
+          let r = delete_min_batch want in
           ops := !ops + List.length r;
           r);
       stats =
@@ -128,92 +117,173 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
           :: stats ());
     }
 
-  let skipqueue_instance ~mode ?p ?max_level ?seed () =
-    let q = SQ.create ~mode ?p ?max_level ?seed () in
-    instance
-      ~insert:(fun k v -> ignore (SQ.insert q k v))
-      ~try_delete_min:(fun () -> SQ.delete_min q)
-        (* Native bulk delete (PR 3's batch API): one bottom-level hunt
-           claims up to [want] nodes, then one physical-removal pass —
-           the marked-prefix walk is shared instead of repeated. *)
-      ~delete_min_batch:(fun want ->
-        if want <= 0 then []
-        else begin
-          let batch = SQ.hunt_batch q ~want in
-          let kvs = SQ.batch_claims batch in
-          SQ.finish_batch q batch;
-          kvs
-        end)
-      ~stats:(fun () ->
-        let s = SQ.stats q in
-        [
-          ("hunt_steps", float_of_int s.SQ.hunt_steps);
-          ("swap_losses", float_of_int s.SQ.swap_losses);
-          ("stale_skips", float_of_int s.SQ.stale_skips);
-          ("hunt_passes", float_of_int s.SQ.hunt_passes);
-        ])
-      ()
+  let instance ~insert ~try_delete_min ~stats =
+    counted ~insert ~insert_batch:(insert_each insert) ~try_delete_min
+      ~delete_min_batch:(drain try_delete_min) ~stats
 
-  let skipqueue ?p ?max_level ?seed () =
+  (* ---- locked-skiplist bases and their combinators ---------------------- *)
+
+  (* A locked-skiplist base: the paper's SkipQueue or the coalescing one
+     (DESIGN.md §S21).  Each supplies its module, its registry name, its
+     duplicate-key contract and its counters once; [plain], [relaxed] and
+     [elim] below serve every base alike. *)
+  module type LOCKED = sig
+    include Repro_skipqueue.Elimination.BACKING with type key = int
+
+    val name : string
+    val dedups : bool
+    val create : LS.mode -> 'v t
+    val delete_min : 'v t -> (int * 'v) option
+    val stats : 'v t -> (string * float) list
+  end
+
+  type locked = { base : (module LOCKED); mode : LS.mode }
+
+  let hunt_stats (s : LS.op_stats) =
+    [
+      ("hunt_steps", float_of_int s.hunt_steps);
+      ("swap_losses", float_of_int s.swap_losses);
+      ("stale_skips", float_of_int s.stale_skips);
+      ("hunt_passes", float_of_int s.hunt_passes);
+    ]
+
+  let sq_base ~p ~max_level =
     {
-      name = "SkipQueue";
-      dedups = true;
-      spec = Linearizable;
-      create = (fun () -> skipqueue_instance ~mode:SQ.Strict ?p ?max_level ?seed ());
+      base =
+        (module struct
+          include SQ
+
+          let name = "SkipQueue"
+          let dedups = true
+          let create mode = SQ.create ~mode ?p ?max_level ()
+          let stats q = hunt_stats (SQ.stats q)
+        end : LOCKED);
+      mode = LS.Strict;
     }
 
-  (* SkipQueue with the paper's §3 reclamation protocol active and a
-     dedicated collector processor (the paper assigns one processor to
-     garbage collection in its benchmarks).  [spawn_collector] is supplied
-     by the runtime-specific wrapper since spawning differs. *)
-  let skipqueue_with_reclamation ~spawn_collector ~collector_passes
-      ~collector_period () =
+  let skipqueue_base = sq_base ~p:None ~max_level:None
+
+  (* The coalescing SkipQueue: duplicate-key multiset nodes behind one
+     packed lock word.  Under [dedups] an insert of a present key updates
+     it in place, as in the base queue, so the check harness tags keys
+     unique and exercises the join/link machinery's dedup paths rather
+     than the multiset admission. *)
+  let co_base_with ~name ~dedups =
     {
-      name = "SkipQueue + reclamation";
-      dedups = true;
-      spec = Linearizable;
+      base =
+        (module struct
+          include CO
+
+          let name = name
+          let dedups = dedups
+          let create mode = CO.create ~mode ~dedups ()
+
+          let stats q =
+            let c = CO.co_stats q in
+            hunt_stats (CO.stats q)
+            @ [
+                ("coalesced_inserts", float_of_int c.CO.coalesced_inserts);
+                ("node_splits", float_of_int c.CO.node_splits);
+              ]
+        end : LOCKED);
+      mode = LS.Strict;
+    }
+
+  let co_base = co_base_with ~name:"SkipQueue-co" ~dedups:false
+  let co_dedup_base = co_base_with ~name:"SkipQueue-co-dedup" ~dedups:true
+
+  (* The paper's §5.4 variant: the same structure without timestamps. *)
+  let relaxed l = { l with mode = LS.Relaxed }
+
+  (* The spec rule: a strict base is [Linearizable], a relaxed one
+     [Relaxed]; [elim] and [bounded] keep whatever they wrap. *)
+  let name_and_spec { base = (module B); mode } =
+    match mode with
+    | LS.Strict -> (B.name, Linearizable)
+    | LS.Relaxed -> ("Relaxed " ^ B.name, Relaxed)
+
+  let plain ({ base = (module B); mode } as l) =
+    let name, spec = name_and_spec l in
+    {
+      name;
+      dedups = B.dedups;
+      spec;
       create =
         (fun () ->
-          let recl = SQ.Reclaim.create () in
-          let q = SQ.create ~mode:SQ.Strict ~reclamation:recl () in
-          spawn_collector (fun wait ->
-              for _ = 1 to collector_passes do
-                wait collector_period;
-                ignore (SQ.Reclaim.collect recl)
-              done;
-              (* final sweep once everything quiesced *)
-              wait (1 lsl 45);
-              ignore (SQ.Reclaim.collect recl));
-          instance
-            ~insert:(fun k v -> ignore (SQ.insert q k v))
-            ~try_delete_min:(fun () -> SQ.delete_min q)
-            ~stats:(fun () ->
-              let s = SQ.Reclaim.stats recl in
-              [
-                ("retired", float_of_int s.SQ.Reclaim.retired);
-                ("reclaimed", float_of_int s.SQ.Reclaim.reclaimed);
-                ("pending", float_of_int s.SQ.Reclaim.pending);
-              ])
-            ());
+          let q = B.create mode in
+          let insert k v = ignore (B.insert q k v) in
+          (* Native bulk delete: one bottom-level hunt claims up to [want]
+             elements, then one physical-removal pass — the marked-prefix
+             walk is shared instead of repeated, and one coalesced node can
+             satisfy a whole batch. *)
+          counted ~insert ~insert_batch:(insert_each insert)
+            ~try_delete_min:(fun () -> B.delete_min q)
+            ~delete_min_batch:(fun want ->
+              if want <= 0 then []
+              else begin
+                let batch = B.hunt_batch q ~want in
+                let kvs = B.batch_claims batch in
+                B.finish_batch q batch;
+                kvs
+              end)
+            ~stats:(fun () -> B.stats q));
     }
+
+  (* Elimination–combining front end (Calciu, Mendes & Herlihy) over a
+     locked base: rendezvous in an adaptive array when the inserted key is
+     strictly below both the deleter's published bound and the inserter's
+     own fresh observation of the minimum; timed-out deleters combine one
+     shared bottom-level hunt.  The front end preserves the backing
+     queue's contract (DESIGN.md §S15), so the spec and [dedups] carry
+     over; an eliminated key is strictly below every settled element, so
+     over the coalescing base it can never coalesce either. *)
+  let elim ({ base = (module B); mode } as l) =
+    let module E = Repro_skipqueue.Elimination.Over (R) (Key) (B) in
+    let name, spec = name_and_spec l in
+    {
+      name = name ^ "-elim";
+      dedups = B.dedups;
+      spec;
+      create =
+        (fun () ->
+          let q = E.create ~backing:(fun () -> B.create mode) () in
+          instance
+            ~insert:(fun k v -> ignore (E.insert q k v))
+            ~try_delete_min:(fun () -> E.delete_min q)
+            ~stats:(fun () ->
+              let f = E.front_stats q in
+              [
+                ("eliminated", float_of_int f.E.eliminated);
+                ("fresh_refusals", float_of_int f.E.fresh_refusals);
+                ("served", float_of_int f.E.served);
+                ("handoff_empties", float_of_int f.E.handoff_empties);
+                ("batches", float_of_int f.E.batches);
+                ("timeouts", float_of_int f.E.timeouts);
+                ("collisions", float_of_int f.E.collisions);
+                ("width", float_of_int f.E.width);
+                ("window", float_of_int f.E.window);
+              ]
+              @ B.stats (E.backing q)));
+    }
+
+  let skipqueue ?p ?max_level () = plain (sq_base ~p ~max_level)
+  let elim_skipqueue_co () = elim co_base
+
+  (* ---- the other backends ------------------------------------------------ *)
 
   (* Lock-free SkipQueue (DESIGN.md S19): CAS-linked insert, CAS-marked
      logical deletion, batched physical unlinking through epoch
      reclamation.  Multiset semantics — duplicate keys are distinct
      instances ([dedups = false]); linearizable without the paper's
      timestamps (the claim CAS is Delete-min's linearization point). *)
-  let skipqueue_lf ?p ?max_level ?seed ?restructure_threshold ?collect_every ()
-      =
+  let skipqueue_lf () =
     {
       name = "SkipQueue-lf";
       dedups = false;
       spec = Linearizable;
       create =
         (fun () ->
-          let q =
-            LF.create ?p ?max_level ?seed ?restructure_threshold ?collect_every
-              ()
-          in
+          let q = LF.create () in
           instance
             ~insert:(fun k v -> LF.insert q k v)
             ~try_delete_min:(fun () -> LF.delete_min q)
@@ -230,177 +300,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
                 ("pool_returned", float_of_int ps.LF.returned);
                 ("pool_recycled", float_of_int ps.LF.recycled);
                 ("reclaim_pending", float_of_int rs.LF.SL.Reclaim.pending);
-              ])
-            ());
-    }
-
-  let relaxed_skipqueue ?p ?max_level ?seed () =
-    {
-      name = "Relaxed SkipQueue";
-      dedups = true;
-      spec = Relaxed;
-      create = (fun () -> skipqueue_instance ~mode:SQ.Relaxed ?p ?max_level ?seed ());
-    }
-
-  (* Coalescing SkipQueue (DESIGN.md §S21): duplicate-key multiset nodes
-     behind one packed lock word.  Same claim/batch split as the base
-     queue, so the native bulk delete carries over — and one coalesced
-     node can satisfy a whole batch in a single hunt pass. *)
-  let co_instance ~mode ~dedups ?p ?max_level ?seed ?capacity () =
-    let q = CO.create ~mode ~dedups ?p ?max_level ?seed ?capacity () in
-    instance
-      ~insert:(fun k v -> ignore (CO.insert q k v))
-      ~try_delete_min:(fun () -> CO.delete_min q)
-      ~delete_min_batch:(fun want ->
-        if want <= 0 then []
-        else begin
-          let batch = CO.hunt_batch q ~want in
-          let kvs = CO.batch_claims batch in
-          CO.finish_batch q batch;
-          kvs
-        end)
-      ~stats:(fun () ->
-        let s = CO.stats q in
-        let c = CO.co_stats q in
-        [
-          ("hunt_steps", float_of_int s.CO.hunt_steps);
-          ("swap_losses", float_of_int s.CO.swap_losses);
-          ("stale_skips", float_of_int s.CO.stale_skips);
-          ("hunt_passes", float_of_int s.CO.hunt_passes);
-          ("coalesced_inserts", float_of_int c.CO.coalesced_inserts);
-          ("node_splits", float_of_int c.CO.node_splits);
-        ])
-      ()
-
-  let skipqueue_co ?p ?max_level ?seed ?capacity () =
-    {
-      name = "SkipQueue-co";
-      dedups = false;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          co_instance ~mode:CO.Strict ~dedups:false ?p ?max_level ?seed
-            ?capacity ());
-    }
-
-  (* Same layout under the PR 1 update-in-place contract: the check
-     harness then tags keys unique, exercising the join/link machinery's
-     dedup paths rather than the multiset admission. *)
-  let skipqueue_co_dedup ?p ?max_level ?seed ?capacity () =
-    {
-      name = "SkipQueue-co-dedup";
-      dedups = true;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          co_instance ~mode:CO.Strict ~dedups:true ?p ?max_level ?seed
-            ?capacity ());
-    }
-
-  let relaxed_skipqueue_co ?p ?max_level ?seed ?capacity () =
-    {
-      name = "Relaxed SkipQueue-co";
-      dedups = false;
-      spec = Relaxed;
-      create =
-        (fun () ->
-          co_instance ~mode:CO.Relaxed ~dedups:false ?p ?max_level ?seed
-            ?capacity ());
-    }
-
-  (* Elimination front end over the coalescing queue (multiset
-     semantics).  Preserves the backing contract exactly as over the base
-     queue, so the strict flavor keeps [Linearizable]. *)
-  let elim_skipqueue_co ?slots ?width ?window ?poll_cycles ?serve_cap
-      ?bound_every ?adaptive () =
-    {
-      name = "SkipQueue-co-elim";
-      dedups = false;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          let q =
-            ElimCo.create ~mode:ElimCo.SQ.Strict ?slots ?width ?window
-              ?poll_cycles ?serve_cap ?bound_every ?adaptive ()
-          in
-          instance
-            ~insert:(fun k v -> ignore (ElimCo.insert q k v))
-            ~try_delete_min:(fun () -> ElimCo.delete_min q)
-            ~stats:(fun () ->
-              let f = ElimCo.front_stats q in
-              let s = ElimCo.queue_stats q in
-              [
-                ("eliminated", float_of_int f.ElimCo.eliminated);
-                ("served", float_of_int f.ElimCo.served);
-                ("batches", float_of_int f.ElimCo.batches);
-                ("timeouts", float_of_int f.ElimCo.timeouts);
-                ("hunt_steps", float_of_int s.ElimCo.SQ.hunt_steps);
-                ("swap_losses", float_of_int s.ElimCo.SQ.swap_losses);
-                ("hunt_passes", float_of_int s.ElimCo.SQ.hunt_passes);
-              ])
-            ());
-    }
-
-  (* Elimination–combining front end over the same SkipQueue (Calciu,
-     Mendes & Herlihy): rendezvous in an adaptive array when the inserted
-     key is strictly below both the deleter's published bound and the
-     inserter's own fresh observation of the minimum; timed-out deleters
-     combine one shared bottom-level hunt.  The front end preserves the
-     backing queue's contract (DESIGN.md §S15), so the strict flavor
-     keeps [Linearizable] and the relaxed one keeps [Relaxed]. *)
-  let elim_skipqueue_instance ~mode ?p ?max_level ?seed ?slots ?width ?window
-      ?poll_cycles ?serve_cap ?bound_every ?adaptive () =
-    let q =
-      Elim.create ~mode ?p ?max_level ?seed ?slots ?width ?window ?poll_cycles
-        ?serve_cap ?bound_every ?adaptive ()
-    in
-    instance
-      ~insert:(fun k v -> ignore (Elim.insert q k v))
-      ~try_delete_min:(fun () -> Elim.delete_min q)
-      ~stats:(fun () ->
-        let f = Elim.front_stats q in
-        let s = Elim.queue_stats q in
-        [
-          ("eliminated", float_of_int f.Elim.eliminated);
-          ("fresh_refusals", float_of_int f.Elim.fresh_refusals);
-          ("served", float_of_int f.Elim.served);
-          ("handoff_empties", float_of_int f.Elim.handoff_empties);
-          ("batches", float_of_int f.Elim.batches);
-          ("timeouts", float_of_int f.Elim.timeouts);
-          ("collisions", float_of_int f.Elim.collisions);
-          ("width", float_of_int f.Elim.width);
-          ("window", float_of_int f.Elim.window);
-          ("hunt_steps", float_of_int s.Elim.SQ.hunt_steps);
-          ("swap_losses", float_of_int s.Elim.SQ.swap_losses);
-          ("stale_skips", float_of_int s.Elim.SQ.stale_skips);
-          ("hunt_passes", float_of_int s.Elim.SQ.hunt_passes);
-        ])
-      ()
-
-  let elim_skipqueue ?p ?max_level ?seed ?slots ?width ?window ?poll_cycles
-      ?serve_cap ?bound_every ?adaptive () =
-    {
-      name = "SkipQueue-elim";
-      dedups = true;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          elim_skipqueue_instance ~mode:Elim.SQ.Strict ?p ?max_level ?seed
-            ?slots ?width ?window ?poll_cycles ?serve_cap ?bound_every
-            ?adaptive ());
-    }
-
-  let relaxed_elim_skipqueue ?p ?max_level ?seed ?slots ?width ?window
-      ?poll_cycles ?serve_cap ?bound_every ?adaptive () =
-    {
-      name = "Relaxed SkipQueue-elim";
-      dedups = true;
-      spec = Relaxed;
-      create =
-        (fun () ->
-          elim_skipqueue_instance ~mode:Elim.SQ.Relaxed ?p ?max_level ?seed
-            ?slots ?width ?window ?poll_cycles ?serve_cap ?bound_every
-            ?adaptive ());
+              ]));
     }
 
   let hunt_heap ?capacity () =
@@ -420,30 +320,27 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
           instance
             ~insert:(fun k v -> Heap.insert h k v)
             ~try_delete_min:(fun () -> Heap.delete_min h)
-            ~stats:(fun () -> [])
-            ());
+            ~stats:(fun () -> []));
     }
 
-  let funnel_list ?layer_widths ?collision_window () =
+  let funnel_list () =
     {
       name = "FunnelList";
       dedups = false;
       spec = Linearizable;
       create =
         (fun () ->
-          let q = FL.create ?layer_widths ?collision_window () in
+          let q = FL.create () in
           instance
             ~insert:(fun k v -> FL.insert q k v)
             ~try_delete_min:(fun () -> FL.delete_min q)
             ~stats:(fun () ->
               let s = FL.funnel_stats q in
-              let module F = Repro_funnel.Combining_funnel.Make (R) in
               [
-                ("batches", float_of_int s.F.batches);
-                ("combines", float_of_int s.F.combines);
-                ("largest_batch", float_of_int s.F.largest_batch);
-              ])
-            ());
+                ("batches", float_of_int s.Funnel.batches);
+                ("combines", float_of_int s.Funnel.combines);
+                ("largest_batch", float_of_int s.Funnel.largest_batch);
+              ]));
     }
 
   let bin_queue ~range () =
@@ -457,22 +354,17 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
           instance
             ~insert:(fun k v -> Bins.insert q k v)
             ~try_delete_min:(fun () -> Bins.delete_min q)
-            ~stats:(fun () -> [])
-            ());
+            ~stats:(fun () -> []));
     }
 
-  let multiqueue ?shard_factor ?shards ?choice ?stickiness ?heap_cycles_per_level
-      ?seed ~procs () =
+  let multiqueue ?shards ?choice ?heap_cycles_per_level ~procs () =
     {
       name = "MultiQueue";
       dedups = false;
       spec = Rank_bounded;
       create =
         (fun () ->
-          let q =
-            MQ.create ?shard_factor ?shards ?choice ?stickiness
-              ?heap_cycles_per_level ?seed ~procs ()
-          in
+          let q = MQ.create ?shards ?choice ?heap_cycles_per_level ~procs () in
           instance
             ~insert:(fun k v -> MQ.insert q k v)
             ~try_delete_min:(fun () -> MQ.delete_min q)
@@ -484,8 +376,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
                 ("empty_pops", float_of_int s.MQ.empty_pops);
                 ("full_sweeps", float_of_int s.MQ.full_sweeps);
                 ("resticks", float_of_int s.MQ.resticks);
-              ])
-            ());
+              ]));
     }
 
   (* The k-LSM relaxed backend ({!Repro_klsm.Klsm}): per-processor
@@ -494,15 +385,15 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
      [insert_batch] publishes the (sorted) batch as one block, and
      [delete_min_batch] claims through one per-processor state
      acquisition. *)
-  let klsm ?seed ?search_cycles ?buffer_capacity ~k ~procs () =
+  let klsm ?search_cycles ~k ~procs () =
     {
       name = Printf.sprintf "klsm:%d" k;
       dedups = false;
       spec = Rank_bounded;
       create =
         (fun () ->
-          let q = KL.create ?seed ?search_cycles ?buffer_capacity ~k ~procs () in
-          instance
+          let q = KL.create ?search_cycles ~k ~procs () in
+          counted
             ~insert:(fun key v -> KL.insert q key v)
             ~insert_batch:(fun kvs -> KL.insert_batch q kvs)
             ~try_delete_min:(fun () -> KL.delete_min q)
@@ -517,8 +408,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
                 ("batch_inserts", float_of_int s.KL.batch_inserts);
                 ("batch_deletes", float_of_int s.KL.batch_deletes);
                 ("blocks", float_of_int (KL.block_count q));
-              ])
-            ());
+              ]));
     }
 
   (* Ablation A1: Delete-mins regulated by a combining funnel in front of
@@ -526,7 +416,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
      deleting processors at the bottom level of the SkipList"). *)
   type funnel_req = { mutable result : (int * int) option; mutable done_ : bool }
 
-  let funneled_skipqueue ?collision_window () =
+  let funneled_skipqueue () =
     {
       name = "SkipQueue + delete funnel";
       dedups = true;
@@ -535,7 +425,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
         (fun () ->
           let q = SQ.create ~mode:SQ.Strict () in
           let funnel =
-            Funnel.create ?collision_window
+            Funnel.create
               ~apply:(fun batch ->
                 List.iter
                   (fun req ->
@@ -552,8 +442,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
               let req = { result = None; done_ = false } in
               Funnel.perform funnel req;
               req.result)
-            ~stats:(fun () -> [])
-            ());
+            ~stats:(fun () -> []));
     }
 
   (* Bounded/blocking façade over any implementation: capacity bound,
@@ -584,77 +473,73 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
                cross the capacity gate individually, so the inner batch
                path cannot be used without admitting a burst past the
                bound. *)
-            insert_batch =
-              (fun kvs -> Array.iter (fun (k, v) -> Bounded.insert_wait b k v) kvs);
-            delete_min_batch =
-              (fun want ->
-                let rec go acc n =
-                  if n <= 0 then List.rev acc
-                  else
-                    match Bounded.try_delete_min b with
-                    | Some kv -> go (kv :: acc) (n - 1)
-                    | None -> List.rev acc
-                in
-                go [] want);
+            insert_batch = insert_each (Bounded.insert_wait b);
+            delete_min_batch = drain (fun () -> Bounded.try_delete_min b);
             stats = (fun () -> Bounded.stats b @ inner.stats ());
           });
     }
 
-  (* The registry's default-configured entries, listed once for both
-     runtimes.  [mq] and [klsm256] come from the runtime's own
-     constructors (the native ones drop the simulated charges for
-     host-side work), and [sim_only] entries sit between the plain
-     backends and the bounded façades.  The bounded entries' registry
-     capacity (1024) is far above what the standard mixed-ops check
-     profile admits, so they behave as their inner backend under that
-     sweep; capacity pressure is exercised by the dedicated blocking
-     harness. *)
-  let registry ~mq ~klsm256 ?(sim_only = []) () =
-    [
-      skipqueue ();
-      relaxed_skipqueue ();
-      skipqueue_lf ();
-      skipqueue_co ();
-      skipqueue_co_dedup ();
-      relaxed_skipqueue_co ();
-      elim_skipqueue ();
-      relaxed_elim_skipqueue ();
-      elim_skipqueue_co ();
-      hunt_heap ();
-      funnel_list ();
-      mq;
-      klsm256;
-    ]
-    @ sim_only
-    @ List.map
-        (fun impl -> bounded impl)
-        [
-          skipqueue ();
-          relaxed_skipqueue ();
-          skipqueue_lf ();
-          skipqueue_co ();
-          hunt_heap ();
-          mq;
-        ]
+  (* The grammar's view of this runtime.  [mq] and [klsm] come from the
+     runtime's own constructors (the native ones drop the simulated
+     charges for host-side work); [extra] holds the runtime-only
+     bases. *)
+  let runtime ~mq ~klsm extra =
+    {
+      locked =
+        List.map
+          (fun b ->
+            ( fst (name_and_spec b),
+              fun ~relaxed:r ~elim:e ->
+                (if e then elim else plain) (if r then relaxed b else b) ))
+          [ skipqueue_base; co_base; co_dedup_base ];
+      others = [ skipqueue_lf (); hunt_heap (); funnel_list (); mq ];
+      extra;
+      klsm;
+      bounded = (fun impl -> bounded impl);
+    }
 end
 
 module Sim = struct
   include Over (Repro_sim.Sim_runtime)
 
-  let skipqueue_with_reclamation ?(collector_passes = 500)
-      ?(collector_period = 20_000) () =
-    skipqueue_with_reclamation
-      ~spawn_collector:(fun body ->
-        Repro_sim.Machine.spawn (fun () -> body Repro_sim.Machine.work))
-      ~collector_passes ~collector_period ()
+  (* Ablation A4: the SkipQueue with the paper's §3 reclamation protocol
+     active and a dedicated collector processor (the paper assigns one
+     processor to garbage collection in its benchmarks), sweeping every
+     20000 cycles for 500 passes plus once after quiescence. *)
+  let skipqueue_with_reclamation () =
+    {
+      name = "SkipQueue + reclamation";
+      dedups = true;
+      spec = Linearizable;
+      create =
+        (fun () ->
+          let recl = SQ.Reclaim.create () in
+          let q = SQ.create ~mode:SQ.Strict ~reclamation:recl () in
+          Repro_sim.Machine.spawn (fun () ->
+              for _ = 1 to 500 do
+                Repro_sim.Machine.work 20_000;
+                ignore (SQ.Reclaim.collect recl)
+              done;
+              (* final sweep once everything quiesced *)
+              Repro_sim.Machine.work (1 lsl 45);
+              ignore (SQ.Reclaim.collect recl));
+          instance
+            ~insert:(fun k v -> ignore (SQ.insert q k v))
+            ~try_delete_min:(fun () -> SQ.delete_min q)
+            ~stats:(fun () ->
+              let s = SQ.Reclaim.stats recl in
+              [
+                ("retired", float_of_int s.SQ.Reclaim.retired);
+                ("reclaimed", float_of_int s.SQ.Reclaim.reclaimed);
+                ("pending", float_of_int s.SQ.Reclaim.pending);
+              ]));
+    }
 
-  let registry () =
-    registry
+  let runtime =
+    runtime
       ~mq:(multiqueue ~procs:registry_procs ())
-      ~klsm256:(klsm ~k:256 ~procs:registry_procs ())
-      ~sim_only:
-        [ funneled_skipqueue (); skipqueue_with_reclamation (); bin_queue ~range:65_536 () ]
-      ()
+      ~klsm:(fun k -> klsm ~k ~procs:registry_procs ())
+      [ funneled_skipqueue (); skipqueue_with_reclamation (); bin_queue ~range:65_536 () ]
 end
 
 module Native = struct
@@ -662,28 +547,24 @@ module Native = struct
 
   (* Real heap operations cost real time on this backend; no simulated
      walk charge on top. *)
-  let multiqueue ?shard_factor ?shards ?choice ?stickiness ?seed ~procs () =
-    multiqueue ?shard_factor ?shards ?choice ?stickiness
-      ~heap_cycles_per_level:0 ?seed ~procs ()
+  let multiqueue ?shards ?choice ~procs () =
+    multiqueue ?shards ?choice ~heap_cycles_per_level:0 ~procs ()
 
   (* Same reasoning: the binary searches and merge walks are real work. *)
-  let klsm ?seed ?buffer_capacity ~k ~procs () =
-    klsm ?seed ~search_cycles:0 ?buffer_capacity ~k ~procs ()
+  let klsm ~k ~procs () = klsm ~search_cycles:0 ~k ~procs ()
 
-  let registry () =
-    registry
+  let runtime =
+    runtime
       ~mq:(multiqueue ~procs:registry_procs ())
-      ~klsm256:(klsm ~k:256 ~procs:registry_procs ())
-      ()
+      ~klsm:(fun k -> klsm ~k ~procs:registry_procs ())
+      []
 end
 
-(* ---- name-keyed registry ------------------------------------------------ *)
+(* ---- name grammar ------------------------------------------------------- *)
 
 type backend = Sim | Native
 
-let all = function Sim -> Sim.registry () | Native -> Native.registry ()
-
-let names backend = List.map (fun i -> i.name) (all backend)
+let runtime = function Sim -> Sim.runtime | Native -> Native.runtime
 
 (* Lookups tolerate case and spacing so CLI spellings like "skipqueue" or
    "relaxedskipqueue" resolve. *)
@@ -691,13 +572,23 @@ let normalize name =
   String.lowercase_ascii
     (String.concat "" (String.split_on_char ' ' name))
 
+let has_prefix prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let strip_prefix prefix s =
+  if has_prefix prefix s then
+    (true, String.sub s (String.length prefix) (String.length s - String.length prefix))
+  else (false, s)
+
+let strip_suffix suffix s =
+  let n = String.length s and m = String.length suffix in
+  if n >= m && String.sub s (n - m) m = suffix then (true, String.sub s 0 (n - m))
+  else (false, s)
+
 (* ---- klsm:<k> names ----------------------------------------------------- *)
 
 let klsm_prefix = "klsm:"
-
-let has_klsm_prefix normalized =
-  String.length normalized >= String.length klsm_prefix
-  && String.sub normalized 0 (String.length klsm_prefix) = klsm_prefix
 
 (* Parse a name of the exact form "klsm:<k>".  [Error] distinguishes a
    malformed rank bound from a name that is not a klsm spelling at all,
@@ -705,7 +596,7 @@ let has_klsm_prefix normalized =
    falling through to the generic registry miss. *)
 let parse_klsm name =
   let n = normalize name in
-  if not (has_klsm_prefix n) then
+  if not (has_prefix klsm_prefix n) then
     Error (Printf.sprintf "%S is not a klsm:<k> name" name)
   else begin
     let suffix = String.sub n 5 (String.length n - 5) in
@@ -746,23 +637,54 @@ let klsm_k_of_name name =
   in
   find_at 0
 
+(* The registry, in listing order.  The bounded entries' capacity (1024)
+   is far above what the standard mixed-ops check profile admits, so they
+   behave as their inner backend under that sweep; capacity pressure is
+   exercised by the dedicated blocking harness. *)
+let registry_names backend =
+  [
+    "SkipQueue"; "Relaxed SkipQueue"; "SkipQueue-lf"; "SkipQueue-co";
+    "SkipQueue-co-dedup"; "Relaxed SkipQueue-co"; "SkipQueue-elim";
+    "Relaxed SkipQueue-elim"; "SkipQueue-co-elim"; "Heap"; "FunnelList";
+    "MultiQueue"; "klsm:256";
+  ]
+  @ List.map (fun i -> i.name) (runtime backend).extra
+  @ List.map (( ^ ) "bounded:")
+      [ "SkipQueue"; "Relaxed SkipQueue"; "SkipQueue-lf"; "SkipQueue-co"; "Heap"; "MultiQueue" ]
+
+(* Parses [bounded:][Relaxed ]<base>[-elim] or [bounded:]klsm:<k> and
+   applies each part through its combinator; "Relaxed" and "-elim" need a
+   locked-skiplist base. *)
 let find backend name =
-  let target = normalize name in
-  match List.find_opt (fun i -> normalize i.name = target) (all backend) with
-  | Some impl -> impl
-  | None ->
-    if has_klsm_prefix target then begin
-      (* Any valid rank bound constructs a backend on the fly; a malformed
-         one gets a parse-specific error, not a registry miss. *)
-      match parse_klsm name with
-      | Ok k -> (
-        match backend with
-        | Sim -> Sim.klsm ~k ~procs:registry_procs ()
-        | Native -> Native.klsm ~k ~procs:registry_procs ())
-      | Error msg -> invalid_arg ("Queue_adapter.find: " ^ msg)
-    end
-    else
-      invalid_arg
-        (Printf.sprintf "Queue_adapter.find: unknown implementation %S (known: %s)"
-           name
-           (String.concat ", " (List.sort String.compare (names backend))))
+  let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Queue_adapter.find: " ^ m)) fmt in
+  let rt = runtime backend in
+  let bounded, n = strip_prefix "bounded:" (normalize name) in
+  let relaxed, n = strip_prefix "relaxed" n in
+  let elim, n = strip_suffix "-elim" n in
+  let unlocked what =
+    fail "cannot build %S: %s applies only to %s" name what
+      (String.concat ", " (List.map fst rt.locked))
+  in
+  let inner =
+    match List.find_opt (fun (b, _) -> normalize b = n) rt.locked with
+    | Some (_, compose) -> compose ~relaxed ~elim
+    | None ->
+      let base =
+        if has_prefix "bounded:" n then fail "cannot build %S: bounded: applies once" name
+        else if has_prefix klsm_prefix n then
+          match parse_klsm n with Ok k -> rt.klsm k | Error msg -> fail "%s" msg
+        else
+          match List.find_opt (fun i -> normalize i.name = n) (rt.others @ rt.extra) with
+          | Some impl -> impl
+          | None ->
+            fail "unknown implementation %S (known: %s)" name
+              (String.concat ", " (List.sort String.compare (registry_names backend)))
+      in
+      if relaxed then unlocked "Relaxed"
+      else if elim then unlocked "-elim"
+      else base
+  in
+  if bounded then rt.bounded inner else inner
+
+let all backend = List.map (find backend) (registry_names backend)
+let names backend = List.map (fun i -> i.name) (all backend)

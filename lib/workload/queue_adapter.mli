@@ -5,16 +5,38 @@
     use values as element identifiers, exactly like the paper's synthetic
     benchmark.
 
-    Implementations come in two layers: parameterized constructors (the
-    [Sim]/[Native] modules, both instances of one functor over the
+    Implementations come in two layers: constructors and combinators (the
+    {!Native}/{!Sim} modules, both instances of one functor over the
     runtime) for experiments that tune structure parameters, and a
     name-keyed registry ({!all}/{!find}) for callers — the CLI drivers,
-    the bench suite — that select implementations by string. *)
+    the bench suite — that select implementations by string.
+
+    {2 Name grammar}
+
+    {!find} parses [\[bounded:\]\[Relaxed \]<base>\[-elim\]], or
+    [\[bounded:\]klsm:<k>], ignoring case and spaces, and builds the
+    result through the combinators:
+    - [<base>] is a locked-skiplist base — [SkipQueue], [SkipQueue-co]
+      (multiset) or [SkipQueue-co-dedup] — or one of the other
+      backends ([SkipQueue-lf], [Heap], [FunnelList], [MultiQueue], and
+      on the simulator [SkipQueue + delete funnel],
+      [SkipQueue + reclamation], [BinQueue(65536)]);
+    - [Relaxed ] ({!Native.relaxed}) drops the timestamps (§5.4): the
+      name gains the prefix and the spec becomes [Relaxed];
+    - [-elim] ({!Native.elim}) puts the elimination–combining front end
+      in front: the name gains the suffix, and the spec and [dedups]
+      carry over;
+    - [bounded:] ({!Native.bounded}) wraps anything in the blocking
+      façade: the name gains the prefix, and the spec and [dedups] carry
+      over.
+    A strict locked base is [Linearizable]; the other bases declare their
+    own spec.  [Relaxed ] and [-elim] over a base outside the locked
+    family raise [Invalid_argument] saying so. *)
 
 type instance = {
   insert : int -> int -> unit;
       (** non-blocking insert — on unbounded backends it always succeeds;
-          the {!Over.bounded} façade maps it to [insert_wait] (a bounded
+          the {!Sim.bounded} façade maps it to [insert_wait] (a bounded
           queue has no silent-drop insert) *)
   insert_wait : int -> int -> unit;
       (** blocking insert: parks under backpressure on the bounded façade;
@@ -97,20 +119,71 @@ type impl = {
           (e.g. within [Machine.run] for the simulator) *)
 }
 
-(** Parameterized constructors over any runtime; [Sim] and [Native] below
-    are its two instantiations. *)
-module Over (R : Repro_runtime.Runtime_intf.S) : sig
-  val skipqueue : ?p:float -> ?max_level:int -> ?seed:int64 -> unit -> impl
-  val relaxed_skipqueue : ?p:float -> ?max_level:int -> ?seed:int64 -> unit -> impl
+(** The constructors, written once for both runtimes and shown here over
+    real OCaml domains.  {!Sim} has the same ones over the simulator. *)
+module Native : sig
+  val instance :
+    insert:(int -> int -> unit) ->
+    try_delete_min:(unit -> (int * int) option) ->
+    stats:(unit -> (string * float) list) ->
+    instance
+  (** Wraps a structure's two entry points in the {!instance} record:
+      the core counters, the polling [delete_min_wait], and the
+      element-at-a-time bulk entry points.  [stats] supplies the
+      structure's own counters, reported after the core ones. *)
 
-  val skipqueue_lf :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?restructure_threshold:int ->
-    ?collect_every:int ->
-    unit ->
-    impl
+  (** {3 Locked-skiplist compositions} *)
+
+  type locked
+  (** A locked-skiplist queue before it is built: a base and its mode. *)
+
+  val skipqueue_base : locked
+  (** The paper's SkipQueue ({!Repro_skipqueue.Skipqueue}): strict,
+      updates a present key in place ([dedups]).  Stats: ["hunt_steps"],
+      ["swap_losses"], ["stale_skips"], ["hunt_passes"]. *)
+
+  val co_base : locked
+  (** The coalescing SkipQueue ({!Repro_skipqueue.Skipqueue_co},
+      DESIGN.md §S21): nodes hold a bounded multiset of same-key elements
+      and all per-node locking lives in one bit-packed word; multiset
+      semantics (no [dedups]).  Stats: the SkipQueue's plus
+      ["coalesced_inserts"], ["node_splits"]. *)
+
+  val co_dedup_base : locked
+  (** The coalescing layout under the update-in-place contract: every
+      node count stays 1, and only the packed-lock-word mechanics differ
+      from {!skipqueue_base}. *)
+
+  val relaxed : locked -> locked
+  (** The §5.4 flavor: no timestamps, so a delete-min may claim an
+      element still being inserted.  Name ["Relaxed " ^ n], spec
+      [Relaxed]. *)
+
+  val plain : locked -> impl
+  (** The queue itself.  Its [delete_min_batch] is the structure's own
+      bottom-level batch hunt. *)
+
+  val elim : locked -> impl
+  (** The queue behind the {!Repro_skipqueue.Elimination} front end:
+      insert/delete-min pairs rendezvous in an adaptive array when the
+      inserted key is strictly below the observed minimum, and timed-out
+      deleters combine their bottom-level hunts into one shared batch.
+      The front end preserves the backing queue's contract (DESIGN.md
+      §S15), so the spec and [dedups] carry over; name [n ^ "-elim"].
+      Stats: ["eliminated"], ["fresh_refusals"], ["served"],
+      ["handoff_empties"], ["batches"], ["timeouts"], ["collisions"],
+      ["width"], ["window"], then the base's. *)
+
+  val skipqueue : ?p:float -> ?max_level:int -> unit -> impl
+  (** [plain skipqueue_base] with the skiplist parameters set: [p]
+      (default 0.5) and [max_level] (default 20) shape node heights. *)
+
+  val elim_skipqueue_co : unit -> impl
+  (** [elim co_base]. *)
+
+  (** {3 Other backends} *)
+
+  val skipqueue_lf : unit -> impl
   (** Lock-free SkipQueue ({!Repro_skipqueue.Skipqueue_lf}, DESIGN.md S19):
       CAS-linked insert, CAS-marked logical deletion (the claim CAS is the
       linearization point), batched physical unlinking through epoch
@@ -120,130 +193,37 @@ module Over (R : Repro_runtime.Runtime_intf.S) : sig
       ["restructure_skips"], ["unlinked"], ["pool_returned"],
       ["pool_recycled"], ["reclaim_pending"]. *)
 
-  val elim_skipqueue :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-
-  val relaxed_elim_skipqueue :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-  (** Strict / relaxed SkipQueue behind the
-      {!Repro_skipqueue.Elimination} front end: insert/delete-min pairs
-      rendezvous in an adaptive array when the inserted key is at most
-      the observed minimum, and timed-out deleters combine their
-      bottom-level hunts into one shared batch.  The front end preserves
-      the backing queue's contract (DESIGN.md §S15): the strict flavor
-      stays [Linearizable], the relaxed one [Relaxed]. *)
-
-  val skipqueue_co :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-  (** Coalescing SkipQueue ({!Repro_skipqueue.Skipqueue_co}, DESIGN.md
-      §S21): nodes hold a bounded multiset of same-key elements and all
-      per-node locking lives in one bit-packed word
-      ({!Repro_skipqueue.Co_lockword}).  [Linearizable], multiset
-      semantics ([dedups = false], [capacity] defaults to 8 elements per
-      node).  Extra stats: ["coalesced_inserts"], ["node_splits"]. *)
-
-  val skipqueue_co_dedup :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-  (** The coalescing structure under the PR 1 dedup contract: an insert of
-      a present key updates its element in place, every node count stays
-      1, and only the packed-lock-word mechanics differ from the base
-      SkipQueue. *)
-
-  val relaxed_skipqueue_co :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-  (** [Relaxed] (§5.4) flavor of {!skipqueue_co}: no timestamps, a
-      delete-min may claim an element still being inserted. *)
-
-  val elim_skipqueue_co :
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-  (** The coalescing SkipQueue behind the {!Repro_skipqueue.Elimination}
-      front end ([Elimination.Over] over the coalescing backing).  An
-      eliminated key is strictly below every settled element, so a
-      rendezvoused pair can never coalesce with the structure; everything
-      that does reach the skiplist coalesces as in {!skipqueue_co}.
-      Front-end stats plus the backing hunt counters. *)
-
-  val funneled_skipqueue : ?collision_window:int -> unit -> impl
+  val funneled_skipqueue : unit -> impl
   (** Ablation A1: a SkipQueue whose Delete-mins are regulated by a
       combining funnel instead of racing SWAPs down the bottom level — the
       design §5 reports trying and rejecting above 64 processors. *)
 
-  val skipqueue_with_reclamation :
-    spawn_collector:(((int -> unit) -> unit) -> unit) ->
-    collector_passes:int ->
-    collector_period:int ->
-    unit ->
-    impl
-  (** Ablation A4 building block; [Sim.skipqueue_with_reclamation] wraps it
-      with the simulator's collector-processor spawner. *)
-
   val hunt_heap : ?capacity:int -> unit -> impl
-  val funnel_list : ?layer_widths:int list -> ?collision_window:int -> unit -> impl
+  (** Hunt et al.'s heap; [capacity] defaults to 65536. *)
+
+  val funnel_list : unit -> impl
 
   val bin_queue : range:int -> unit -> impl
   (** The bounded-priority bin queue of [39] — only valid on workloads
       whose [key_range] does not exceed [range]. *)
 
-  val multiqueue :
-    ?shard_factor:int ->
-    ?shards:int ->
-    ?choice:int ->
-    ?stickiness:int ->
-    ?heap_cycles_per_level:int ->
-    ?seed:int64 ->
-    procs:int ->
-    unit ->
-    impl
+  val multiqueue : ?shards:int -> ?choice:int -> procs:int -> unit -> impl
   (** The relaxed MultiQueue ({!Repro_multiqueue.Multiqueue}): c-way choice
-      over [shard_factor * procs] try-locked sequential heaps. *)
+      ([choice], default 2) over [shards] (default [2 * procs])
+      try-locked sequential heaps.  The real heap walk costs real time
+      here, so no simulated walk charge is added. *)
 
-  val klsm :
-    ?seed:int64 ->
-    ?search_cycles:int ->
-    ?buffer_capacity:int ->
-    k:int ->
-    procs:int ->
-    unit ->
-    impl
+  val klsm : k:int -> procs:int -> unit -> impl
   (** The k-LSM ({!Repro_klsm.Klsm}): per-processor insertion buffers
       merged log-structurally into a CAS-published block list, rank error
       bounded by [k] (split between the foreign-buffer blind spot and the
       relaxed choice among block heads — see the klsm library docs).
       Registered as ["klsm:<k>"], [Rank_bounded], multiset semantics.
       Native [insert_batch] (one sorted block) and [delete_min_batch].
-      Extra stats: ["flushes"], ["merges"], ["spy_sweeps"],
-      ["cas_failures"], ["batch_inserts"], ["batch_deletes"],
-      ["blocks"]. *)
+      The binary searches and merge walks cost real time here, so no
+      simulated search charge is added.  Extra stats: ["flushes"],
+      ["merges"], ["spy_sweeps"], ["cas_failures"], ["batch_inserts"],
+      ["batch_deletes"], ["blocks"]. *)
 
   val bounded : ?capacity:int -> impl -> impl
   (** [bounded ~capacity impl] wraps [impl] in the two-lock
@@ -256,189 +236,26 @@ module Over (R : Repro_runtime.Runtime_intf.S) : sig
       individually). *)
 end
 
-(** Implementations over the simulator runtime. *)
+(** The same constructors over the simulator, where host-side work in
+    the MultiQueue and the k-LSM is charged in simulated cycles, plus one
+    simulator-only ablation. *)
 module Sim : sig
-  val skipqueue : ?p:float -> ?max_level:int -> ?seed:int64 -> unit -> impl
-  val relaxed_skipqueue : ?p:float -> ?max_level:int -> ?seed:int64 -> unit -> impl
+  include module type of Native
 
-  val skipqueue_lf :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?restructure_threshold:int ->
-    ?collect_every:int ->
-    unit ->
-    impl
+  val multiqueue :
+    ?shards:int -> ?choice:int -> ?heap_cycles_per_level:int -> procs:int -> unit -> impl
+  (** As {!Native.multiqueue}, plus [heap_cycles_per_level]: the simulated
+      charge per heap level walked. *)
 
-  val elim_skipqueue :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
+  val klsm : ?search_cycles:int -> k:int -> procs:int -> unit -> impl
+  (** As {!Native.klsm}, plus [search_cycles]: the simulated charge for
+      its host-side searches. *)
 
-  val relaxed_elim_skipqueue :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-
-  val skipqueue_co :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-
-  val skipqueue_co_dedup :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-
-  val relaxed_skipqueue_co :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-
-  val elim_skipqueue_co :
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-
-  val funneled_skipqueue : ?collision_window:int -> unit -> impl
-
-  val skipqueue_with_reclamation :
-    ?collector_passes:int -> ?collector_period:int -> unit -> impl
+  val skipqueue_with_reclamation : unit -> impl
   (** Ablation A4: the §3 reclamation protocol live — operations register
       entry/exit times, deleted nodes are retired to per-processor garbage
-      lists, and a dedicated collector processor sweeps every
-      [collector_period] cycles (default 20000) for [collector_passes]
-      passes (default 500), plus one final sweep after quiescence. *)
-
-  val hunt_heap : ?capacity:int -> unit -> impl
-  val funnel_list : ?layer_widths:int list -> ?collision_window:int -> unit -> impl
-  val bin_queue : range:int -> unit -> impl
-
-  val multiqueue :
-    ?shard_factor:int ->
-    ?shards:int ->
-    ?choice:int ->
-    ?stickiness:int ->
-    ?heap_cycles_per_level:int ->
-    ?seed:int64 ->
-    procs:int ->
-    unit ->
-    impl
-
-  val klsm :
-    ?seed:int64 ->
-    ?search_cycles:int ->
-    ?buffer_capacity:int ->
-    k:int ->
-    procs:int ->
-    unit ->
-    impl
-
-  val bounded : ?capacity:int -> impl -> impl
-end
-
-(** The same implementations over real domains, for native runs. *)
-module Native : sig
-  val skipqueue : ?p:float -> ?max_level:int -> ?seed:int64 -> unit -> impl
-  val relaxed_skipqueue : ?p:float -> ?max_level:int -> ?seed:int64 -> unit -> impl
-
-  val skipqueue_lf :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?restructure_threshold:int ->
-    ?collect_every:int ->
-    unit ->
-    impl
-
-  val elim_skipqueue :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-
-  val relaxed_elim_skipqueue :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-
-  val skipqueue_co :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-
-  val skipqueue_co_dedup :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-
-  val relaxed_skipqueue_co :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-
-  val elim_skipqueue_co :
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-
-  val hunt_heap : ?capacity:int -> unit -> impl
-  val funnel_list : ?layer_widths:int list -> ?collision_window:int -> unit -> impl
-  val bin_queue : range:int -> unit -> impl
-
-  val multiqueue :
-    ?shard_factor:int ->
-    ?shards:int ->
-    ?choice:int ->
-    ?stickiness:int ->
-    ?seed:int64 ->
-    procs:int ->
-    unit ->
-    impl
-  (** [heap_cycles_per_level] is pinned to 0: the real heap walk already
-      costs real time under this backend. *)
-
-  val klsm :
-    ?seed:int64 -> ?buffer_capacity:int -> k:int -> procs:int -> unit -> impl
-  (** [search_cycles] is pinned to 0: the binary searches and merge walks
-      cost real time under this backend. *)
-
-  val bounded : ?capacity:int -> impl -> impl
+      lists, and a dedicated collector processor sweeps every 20000
+      cycles for 500 passes, plus one final sweep after quiescence. *)
 end
 
 (** {2 Name-keyed registry}
@@ -450,23 +267,26 @@ end
 type backend = Sim | Native
 
 val all : backend -> impl list
-(** Every default-configured implementation available on that backend (the
-    simulator additionally has the funnel-front and reclamation ablation
-    variants and the bounded-range bin queue).  Both backends also expose
-    ["bounded:<name>"] façade entries (capacity 1024) over the skipqueue,
-    relaxed skipqueue, lock-free skipqueue, heap and multiqueue, and a
-    default ["klsm:256"] k-LSM. *)
+(** The registry: the default-configured implementations listed on that
+    backend, each built through {!find} — every base, a default
+    ["klsm:256"], the relaxed and [-elim] flavors of [SkipQueue], the
+    relaxed and [-elim] flavors of [SkipQueue-co], and ["bounded:<name>"]
+    façades (capacity 1024) over the skipqueue, relaxed skipqueue,
+    lock-free skipqueue, coalescing skipqueue, heap and multiqueue.
+    {!find} builds the grammar's other compositions on demand. *)
 
 val names : backend -> string list
 
 val find : backend -> string -> impl
-(** Case- and space-insensitive lookup ("skipqueue", "Relaxed SkipQueue"
-    and "relaxedskipqueue" all resolve).  Names of the form ["klsm:<k>"]
-    construct a k-LSM for {e any} rank bound [k >= 1], not only the
-    registry default; a malformed bound ("klsm:abc", "klsm:0") raises
-    [Invalid_argument] naming the bad [k] — not a generic registry miss.
-    Any other unknown name raises [Invalid_argument] with the known
-    names, in sorted order. *)
+(** Builds a name of the grammar above, case- and space-insensitively
+    ("skipqueue", "Relaxed SkipQueue" and "relaxedskipqueue" all
+    resolve).  ["klsm:<k>"] builds a k-LSM for {e any} rank bound
+    [k >= 1], not only the registry default; a malformed bound
+    ("klsm:abc", "klsm:0") raises [Invalid_argument] naming the bad [k].
+    A composition the grammar cannot build ("Relaxed Heap",
+    "SkipQueue-lf-elim") raises [Invalid_argument] saying why.  Any other
+    unknown base raises [Invalid_argument] with the registry names, in
+    sorted order. *)
 
 val parse_klsm : string -> (int, string) result
 (** Parse a (case/space-insensitive) name of the exact form ["klsm:<k>"].

@@ -10,6 +10,15 @@ module E = Repro_skipqueue.Elimination.Make (Repro_sim.Sim_runtime) (Repro_pqueu
 module E_native =
   Repro_skipqueue.Elimination.Make (Repro_runtime.Native_runtime) (Repro_pqueue.Key.Int)
 
+module SQ = Repro_skipqueue.Skipqueue.Make (Repro_sim.Sim_runtime) (Repro_pqueue.Key.Int)
+
+module SQ_native =
+  Repro_skipqueue.Skipqueue.Make (Repro_runtime.Native_runtime) (Repro_pqueue.Key.Int)
+
+(* The backing SkipQueue's constructor, in the form [E.create ~backing]
+   takes it. *)
+let sq ?mode ?seed () () = SQ.create ?mode ?seed ()
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -24,7 +33,7 @@ let test_sequential_drain_and_update () =
   let invariants = ref (Ok ()) in
   let (_ : Machine.report) =
     Machine.run (fun () ->
-        let q = E.create ~window:4 ~max_window:8 () in
+        let q = E.create ~window:4 ~max_window:8 ~backing:(sq ()) () in
         List.iter (fun k -> ignore (E.insert q k (10 * k))) [ 3; 1; 2 ];
         updated := E.insert q 1 99;
         let d1 = E.delete_min q in
@@ -50,7 +59,7 @@ let test_insert_eliminates_with_waiting_deleter () =
     Machine.run (fun () ->
         let q =
           E.create ~slots:1 ~width:1 ~window:64 ~max_window:64 ~poll_cycles:16
-            ~bound_every:1 ~adaptive:false ()
+            ~bound_every:1 ~adaptive:false ~backing:(sq ()) ()
         in
         Machine.spawn (fun () -> got := E.delete_min q);
         Machine.spawn (fun () ->
@@ -81,7 +90,7 @@ let test_duplicate_key_updates_instead_of_eliminating () =
     Machine.run (fun () ->
         let q =
           E.create ~slots:1 ~width:1 ~window:64 ~max_window:64 ~poll_cycles:16
-            ~bound_every:1 ~adaptive:false ()
+            ~bound_every:1 ~adaptive:false ~backing:(sq ()) ()
         in
         ignore (E.insert q 10 100);
         Machine.spawn (fun () -> got := E.delete_min q);
@@ -114,7 +123,8 @@ let test_stale_bound_does_not_eliminate () =
     Machine.run (fun () ->
         let q =
           E.create ~slots:4 ~width:4 ~window:64 ~max_window:64 ~poll_cycles:128
-            ~bound_every:1 ~adaptive:false ~seed:0L ()
+            ~bound_every:1 ~adaptive:false ~seed:0L
+            ~backing:(sq ~seed:0L ()) ()
         in
         ignore (E.insert q 10 100);
         Machine.spawn (fun () -> got := E.delete_min q);
@@ -152,7 +162,7 @@ let test_collider_combines_and_serves_waiter () =
     Machine.run (fun () ->
         let q =
           E.create ~slots:1 ~width:1 ~window:64 ~max_window:64 ~poll_cycles:16
-            ~adaptive:false ()
+            ~adaptive:false ~backing:(sq ()) ()
         in
         ignore (E.insert q 1 11);
         ignore (E.insert q 2 22);
@@ -181,7 +191,7 @@ let test_combiner_hands_off_empty () =
     Machine.run (fun () ->
         let q =
           E.create ~slots:1 ~width:1 ~window:64 ~max_window:64 ~poll_cycles:16
-            ~adaptive:false ()
+            ~adaptive:false ~backing:(sq ()) ()
         in
         Machine.spawn (fun () -> a := E.delete_min q);
         Machine.spawn (fun () ->
@@ -203,7 +213,7 @@ let test_lone_deleter_times_out_to_direct () =
   let r = ref (Some (0, 0)) and got = ref None and stats = ref None in
   let (_ : Machine.report) =
     Machine.run (fun () ->
-        let q = E.create ~window:4 ~max_window:16 () in
+        let q = E.create ~window:4 ~max_window:16 ~backing:(sq ()) () in
         r := E.delete_min q;
         ignore (E.insert q 7 77);
         got := E.delete_min q;
@@ -228,7 +238,7 @@ let conservation_sim ~mode ~seed () =
   let invariants = ref (Ok ()) in
   let (_ : Machine.report) =
     Machine.run (fun () ->
-        let q = E.create ~mode ~seed () in
+        let q = E.create ~seed ~backing:(sq ~mode ~seed ()) () in
         let stride = (procs * ops) + 1 in
         for p = 0 to procs - 1 do
           let rng = Rng.of_seed (Int64.add seed (Int64.of_int (p + 1))) in
@@ -263,8 +273,8 @@ let conservation_sim ~mode ~seed () =
   in
   check "no lost or invented elements" true (S.equal all_in all_out)
 
-let test_conservation_strict () = conservation_sim ~mode:E.SQ.Strict ~seed:21L ()
-let test_conservation_relaxed () = conservation_sim ~mode:E.SQ.Relaxed ~seed:22L ()
+let test_conservation_strict () = conservation_sim ~mode:SQ.Strict ~seed:21L ()
+let test_conservation_relaxed () = conservation_sim ~mode:SQ.Relaxed ~seed:22L ()
 
 (* Duplicate-heavy randomized runs: with a handful of raw keys the dedup
    update path and the rendezvous path collide constantly.  Instance
@@ -282,7 +292,7 @@ let duplicate_key_conservation ~mode ~seed () =
   let invariants = ref (Ok ()) in
   let (_ : Machine.report) =
     Machine.run (fun () ->
-        let q = E.create ~mode ~seed ~bound_every:1 () in
+        let q = E.create ~seed ~bound_every:1 ~backing:(sq ~mode ~seed ()) () in
         for p = 0 to procs - 1 do
           let rng = Rng.of_seed (Int64.add seed (Int64.of_int (p + 1))) in
           Machine.spawn (fun () ->
@@ -316,16 +326,16 @@ let duplicate_key_conservation ~mode ~seed () =
   done
 
 let test_duplicate_conservation_strict () =
-  duplicate_key_conservation ~mode:E.SQ.Strict ~seed:31L ()
+  duplicate_key_conservation ~mode:SQ.Strict ~seed:31L ()
 
 let test_duplicate_conservation_relaxed () =
-  duplicate_key_conservation ~mode:E.SQ.Relaxed ~seed:32L ()
+  duplicate_key_conservation ~mode:SQ.Relaxed ~seed:32L ()
 
 (* --- native domains -------------------------------------------------------- *)
 
 let test_native_conservation () =
   let procs = 4 and ops = 1_000 in
-  let q = E_native.create ~seed:77L () in
+  let q = E_native.create ~seed:77L ~backing:(fun () -> SQ_native.create ~seed:77L ()) () in
   let inserted = Array.make procs [] in
   let deleted = Array.make procs [] in
   Repro_runtime.Native_runtime.run_processors procs (fun p ->
@@ -371,13 +381,14 @@ let test_create_validations () =
     | (_ : Machine.report) -> false
     | exception Invalid_argument _ -> true
   in
-  check "slots < 1 rejected" true (rejects (fun () -> E.create ~slots:0 ()));
+  check "slots < 1 rejected" true
+    (rejects (fun () -> E.create ~slots:0 ~backing:(sq ()) ()));
   check "width > slots rejected" true
-    (rejects (fun () -> E.create ~slots:4 ~width:5 ()));
+    (rejects (fun () -> E.create ~slots:4 ~width:5 ~backing:(sq ()) ()));
   check "window > max_window rejected" true
-    (rejects (fun () -> E.create ~window:9 ~max_window:8 ()));
+    (rejects (fun () -> E.create ~window:9 ~max_window:8 ~backing:(sq ()) ()));
   check "bound_every < 1 rejected" true
-    (rejects (fun () -> E.create ~bound_every:0 ()))
+    (rejects (fun () -> E.create ~bound_every:0 ~backing:(sq ()) ()))
 
 let () =
   Alcotest.run "elimination"

@@ -157,9 +157,12 @@ let pins =
           [
             ("ops", 581.); ("lock_acquisitions", 341.);
             ("lock_try_failures", 0.); ("eliminated", 0.);
-            ("served", 120.); ("batches", 58.); ("timeouts", 125.);
+            ("fresh_refusals", 0.); ("served", 120.);
+            ("handoff_empties", 0.); ("batches", 58.); ("timeouts", 125.);
+            ("collisions", 46.); ("width", 64.); ("window", 128.);
             ("hunt_steps", 346.); ("swap_losses", 508.);
-            ("hunt_passes", 171.)
+            ("stale_skips", 89.); ("hunt_passes", 171.);
+            ("coalesced_inserts", 36.); ("node_splits", 0.)
           ];
       } );
     ( "SkipQueue-elim",

@@ -431,9 +431,9 @@ let test_batch_equals_singles () =
       in
       check (impl.QA.name ^ ": batch = singles") true !ok)
     [
-      QA.Sim.skipqueue_co ();
-      QA.Sim.skipqueue_co_dedup ();
-      QA.Sim.relaxed_skipqueue_co ();
+      QA.Sim.(plain co_base);
+      QA.Sim.(plain co_dedup_base);
+      QA.Sim.(plain (relaxed co_base));
       QA.Sim.elim_skipqueue_co ();
     ]
 

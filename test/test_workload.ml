@@ -27,7 +27,7 @@ let tiny_workload =
 let all_sim_impls =
   [
     QA.Sim.skipqueue ();
-    QA.Sim.relaxed_skipqueue ();
+    QA.Sim.(plain (relaxed skipqueue_base));
     QA.Sim.hunt_heap ();
     QA.Sim.funnel_list ();
     QA.Sim.multiqueue ~procs:8 ();
@@ -147,7 +147,7 @@ let test_rank_error_sequential_exact () =
         && Stats.max_value m.Benchmark.rank_error = 0.0))
     [
       QA.Sim.skipqueue ();
-      QA.Sim.relaxed_skipqueue ();
+      QA.Sim.(plain (relaxed skipqueue_base));
       QA.Sim.hunt_heap ();
       QA.Sim.multiqueue ~procs:1 ~shards:4 ~choice:4 ();
     ]
@@ -281,6 +281,161 @@ let test_instance_stats_keys () =
     (QA.all QA.Sim);
   check "registry carries bounded entries" true
     (List.exists (fun i -> i.QA.name = "bounded:SkipQueue") (QA.all QA.Sim))
+
+(* The registry listing, entry by entry, as it stood before the name
+   grammar built it: names, order, duplicate-key contract and spec. *)
+let test_registry_listing_pinned () =
+  let shared =
+    [
+      ("SkipQueue", true, QA.Linearizable);
+      ("Relaxed SkipQueue", true, QA.Relaxed);
+      ("SkipQueue-lf", false, QA.Linearizable);
+      ("SkipQueue-co", false, QA.Linearizable);
+      ("SkipQueue-co-dedup", true, QA.Linearizable);
+      ("Relaxed SkipQueue-co", false, QA.Relaxed);
+      ("SkipQueue-elim", true, QA.Linearizable);
+      ("Relaxed SkipQueue-elim", true, QA.Relaxed);
+      ("SkipQueue-co-elim", false, QA.Linearizable);
+      ("Heap", false, QA.Quiescent);
+      ("FunnelList", false, QA.Linearizable);
+      ("MultiQueue", false, QA.Rank_bounded);
+      ("klsm:256", false, QA.Rank_bounded);
+    ]
+  and sim_only =
+    [
+      ("SkipQueue + delete funnel", true, QA.Linearizable);
+      ("SkipQueue + reclamation", true, QA.Linearizable);
+      ("BinQueue(65536)", false, QA.Linearizable);
+    ]
+  and bounded =
+    [
+      ("bounded:SkipQueue", true, QA.Linearizable);
+      ("bounded:Relaxed SkipQueue", true, QA.Relaxed);
+      ("bounded:SkipQueue-lf", false, QA.Linearizable);
+      ("bounded:SkipQueue-co", false, QA.Linearizable);
+      ("bounded:Heap", false, QA.Quiescent);
+      ("bounded:MultiQueue", false, QA.Rank_bounded);
+    ]
+  in
+  let listing backend =
+    List.map (fun i -> (i.QA.name, i.QA.dedups, i.QA.spec)) (QA.all backend)
+  in
+  let first (n, _, _) = n in
+  check "sim listing" true (listing QA.Sim = shared @ sim_only @ bounded);
+  check "native listing" true (listing QA.Native = shared @ bounded);
+  Alcotest.(check (list string))
+    "sim names" (List.map first (shared @ sim_only @ bounded)) (QA.names QA.Sim);
+  Alcotest.(check (list string))
+    "native names" (List.map first (shared @ bounded)) (QA.names QA.Native)
+
+(* Every composition of the grammar over the locked bases resolves on
+   both runtimes, round-trips its name, and follows the spec rule:
+   [Relaxed ] makes the spec [Relaxed]; [-elim] and [bounded:] keep the
+   spec and the base's [dedups]. *)
+let test_grammar_locked_compositions () =
+  let bases = [ ("SkipQueue", true); ("SkipQueue-co", false); ("SkipQueue-co-dedup", true) ] in
+  let flags = [ false; true ] in
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun (base, dedups) ->
+          List.iter
+            (fun relaxed ->
+              List.iter
+                (fun elim ->
+                  List.iter
+                    (fun bounded ->
+                      let name =
+                        (if bounded then "bounded:" else "")
+                        ^ (if relaxed then "Relaxed " else "")
+                        ^ base
+                        ^ if elim then "-elim" else ""
+                      in
+                      let impl = QA.find backend name in
+                      Alcotest.(check string) (name ^ " round-trips") name impl.QA.name;
+                      check (name ^ " dedups") dedups impl.QA.dedups;
+                      check (name ^ " spec") true
+                        (impl.QA.spec = if relaxed then QA.Relaxed else QA.Linearizable);
+                      Alcotest.(check string)
+                        (name ^ " case/space-insensitive") name
+                        (QA.find backend (String.uppercase_ascii name)).QA.name)
+                    flags)
+                flags)
+            flags)
+        bases)
+    [ QA.Sim; QA.Native ]
+
+(* [bounded:] wraps every other base, keeping its spec and [dedups]. *)
+let test_grammar_bounded_others () =
+  List.iter
+    (fun (backend, names) ->
+      List.iter
+        (fun name ->
+          let inner = QA.find backend name in
+          let outer = QA.find backend ("bounded:" ^ name) in
+          Alcotest.(check string) (name ^ " bounded name") ("bounded:" ^ name) outer.QA.name;
+          check (name ^ " bounded dedups") inner.QA.dedups outer.QA.dedups;
+          check (name ^ " bounded spec") true (inner.QA.spec = outer.QA.spec))
+        names)
+    [
+      ( QA.Sim,
+        [ "SkipQueue-lf"; "Heap"; "FunnelList"; "MultiQueue"; "klsm:256"; "klsm:7";
+          "SkipQueue + delete funnel"; "SkipQueue + reclamation"; "BinQueue(65536)" ] );
+      (QA.Native, [ "SkipQueue-lf"; "Heap"; "FunnelList"; "MultiQueue"; "klsm:256"; "klsm:7" ]);
+    ]
+
+(* A composition the grammar cannot build says why, instead of listing
+   the registry as an unknown name would. *)
+let test_grammar_rejects () =
+  let message name =
+    match QA.find QA.Sim name with
+    | impl -> Alcotest.failf "%S built %S" name impl.QA.name
+    | exception Invalid_argument msg -> msg
+  in
+  let contains msg part =
+    let n = String.length part in
+    let rec at i = i + n <= String.length msg && (String.sub msg i n = part || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun (name, why) ->
+      let msg = message name in
+      check (name ^ ": says it cannot be built") true (contains msg "cannot build");
+      check (name ^ ": names the part") true (contains msg why);
+      check (name ^ ": not the generic miss") false (contains msg "known:"))
+    [
+      ("Relaxed Heap", "Relaxed");
+      ("Relaxed SkipQueue-lf", "Relaxed");
+      ("relaxed multiqueue", "Relaxed");
+      ("Relaxed klsm:4", "Relaxed");
+      ("SkipQueue-lf-elim", "-elim");
+      ("FunnelList-elim", "-elim");
+      ("klsm:4-elim", "-elim");
+      ("bounded:bounded:SkipQueue", "bounded:");
+    ];
+  check "unknown base is the generic miss" true
+    (contains (message "Relaxed NoSuchQueue") "known:")
+
+(* Compositions only the grammar builds run on the simulator. *)
+let test_grammar_compositions_run () =
+  List.iter
+    (fun name ->
+      let impl = QA.find QA.Sim name in
+      let got = ref None in
+      let (_ : Machine.report) =
+        Machine.run (fun () ->
+            let q = impl.QA.create () in
+            q.QA.insert 3 30;
+            q.QA.insert 1 10;
+            q.QA.insert 2 20;
+            got := q.QA.try_delete_min ())
+      in
+      check (name ^ " pops the minimum") true (!got = Some (1, 10)))
+    [
+      "Relaxed SkipQueue-co-elim"; "SkipQueue-co-dedup-elim"; "Relaxed SkipQueue-co-dedup";
+      "bounded:SkipQueue-co-elim"; "bounded:Relaxed SkipQueue-co-dedup-elim";
+      "bounded:klsm:7"; "bounded:SkipQueue + delete funnel";
+    ]
 
 (* --- figures machinery ----------------------------------------------------- *)
 
@@ -464,6 +619,14 @@ let () =
           Alcotest.test_case "specs declared" `Quick test_registry_specs;
           Alcotest.test_case "every entry runs" `Quick test_registry_instances_work;
           Alcotest.test_case "core stats keys" `Quick test_instance_stats_keys;
+          Alcotest.test_case "listing pinned" `Quick test_registry_listing_pinned;
+          Alcotest.test_case "grammar: locked compositions" `Quick
+            test_grammar_locked_compositions;
+          Alcotest.test_case "grammar: bounded over other bases" `Quick
+            test_grammar_bounded_others;
+          Alcotest.test_case "grammar: invalid compositions" `Quick test_grammar_rejects;
+          Alcotest.test_case "grammar: compositions run" `Quick
+            test_grammar_compositions_run;
         ] );
       ( "figures",
         [
