@@ -442,6 +442,33 @@ let test_grammar_compositions_run () =
 let tiny_options =
   { Figures.scale = 0.005; max_procs_log2 = 2; progress = ignore; jobs = 1 }
 
+(* MD5 of [render r ^ to_csv r] per runner at [tiny_options]: a change to
+   the figure plumbing must leave every rendered byte where it was
+   (klsm-shootout included, which results/ leaves out).  A change that
+   moves a simulated number on purpose updates its literal here. *)
+let figure_digests =
+  [
+    ("fig2", "f1b16ac8e314a58078d98c0994aa81b2");
+    ("fig3", "46a9ffe74130614ffd947495bb3601e2");
+    ("fig4", "a8cb9ef341c62c86d0b4a3332e95b483");
+    ("fig5", "a3598ce5bec2c13c36f6375c0806446f");
+    ("fig6", "1a023083e1138bb1eb362f229a4e90b5");
+    ("fig7", "ef2ce6bb2adf3de80e5d02b9880916f6");
+    ("fig8", "39bb122c5528e82be5fef1b3fd2b8e5a");
+    ("multiqueue", "63019a093bd57ff288715453ba030032");
+    ("ablation-funnel-front", "d813db7c848f3889cfdc5a75f8484c7c");
+    ("ablation-skiplist-params", "7db6a905a8d4f22ce2fce7688cda646b");
+    ("ablation-timestamp", "282d01859cf026177706f5a2db7bc484");
+    ("ablation-reclamation", "0cc4eda1fb42c32ff2a7a1ab5463b4fa");
+    ("ablation-bounded-range", "90c7cfa9d05b6a8a74d41c227ea54a22");
+    ("ablation-memory-model", "87a0c39d25b7cab0b76442372e3953f9");
+    ("ablation-elimination", "8095ea021aec834fe9fc58ba68794ff7");
+    ("ablation-lockfree", "83fcf254a659a6cb0ff054f86c9f4685");
+    ("scheduler", "eb462c0de8f85e84f772ec20e0d2cc19");
+    ("klsm-shootout", "3622e900a2ff4b86bf4985acab79b0fc");
+    ("duplicate-heavy", "74bbfbb7994e30b8079c935fccf35ead");
+  ]
+
 let test_every_figure_runs () =
   List.iter
     (fun (id, runner) ->
@@ -449,7 +476,11 @@ let test_every_figure_runs () =
       check (id ^ " has a body") true (String.length result.Figures.body > 0);
       check (id ^ " has indicators") true (result.Figures.indicators <> []);
       let rendered = Figures.render result in
-      check (id ^ " renders") true (String.length rendered > String.length result.Figures.body))
+      check (id ^ " renders") true (String.length rendered > String.length result.Figures.body);
+      Alcotest.(check string)
+        (id ^ " output pinned")
+        (List.assoc id figure_digests)
+        (Digest.to_hex (Digest.string (rendered ^ Figures.to_csv result))))
     Figures.all
 
 let test_figure_determinism () =
