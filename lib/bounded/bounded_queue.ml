@@ -115,8 +115,26 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       R.cond_wait t.not_full;
       t.full_waiters <- t.full_waiters - 1
     done;
-    t.backend_insert k v;
-    let old = fetch_add t.size 1 in
+    (* Credit order.  A non-deduplicating backend gets its size credit
+       reserved before the element is inserted: a credit taken after the
+       insert lets a consumer pop the in-flight element against an older
+       element's credit, so size reads 0 while that older element is still
+       queued and the next consumer returns EMPTY.  A reserved credit whose
+       element has not landed yet reads as a backend [None], which [take]
+       retries.  A deduplicating backend keeps the post-insert credit: there
+       [take] burns a [None]-backed credit as stale (an insert absorbed as an
+       in-place update), which would destroy a reserved, in-flight one. *)
+    let old =
+      if t.dedups then begin
+        t.backend_insert k v;
+        fetch_add t.size 1
+      end
+      else begin
+        let old = fetch_add t.size 1 in
+        t.backend_insert k v;
+        old
+      end
+    in
     (* Chain-signal while room and parked producers remain: edge
        transitions alone would strand producers woken past each other. *)
     if (not t.broken) && t.full_waiters > 0 && old + 1 < t.capacity then begin
@@ -127,14 +145,15 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     if old = 0 then notify_not_empty t
 
   (* Take one element; the caller holds [pop_lock] and [block] decides the
-     empty behaviour.  Under [pop_lock] all completed decrements are ours,
-     so [size > 0] means the backend holds at least [size - stale] fully
-     inserted elements, where [stale] counts inserts a deduplicating
-     backend absorbed as in-place updates.  A [None] from the backend
-     while [size > 0] therefore means, for a deduplicating backend, a
-     stale credit — burn it (freeing capacity) and re-test; for a
-     non-deduplicating backend it is a transient miss (e.g. a try-locked
-     shard mid-insert) that resolves under retry. *)
+     empty behaviour.  Under [pop_lock] all completed decrements are ours.
+     For a deduplicating backend [size > 0] means the backend holds at
+     least [size - stale] fully inserted elements, where [stale] counts
+     inserts absorbed as in-place updates, so a [None] while [size > 0] is
+     a stale credit — burn it (freeing capacity) and re-test.  For a
+     non-deduplicating backend [size] also counts reserved credits whose
+     insert is still in flight (see [insert_wait]), so a [None] is a
+     transient miss (an insert mid-flight, a try-locked shard) that
+     resolves under retry. *)
   let rec take t ~block =
     if R.read t.size = 0 then
       if not block then begin

@@ -274,6 +274,20 @@ let test_mini_sweep_clean () =
         (List.map (fun v -> v.Harness.check ^ ": " ^ v.Harness.message) s.Harness.violations))
     summaries
 
+(* The bounded façade over the lock-free SkipQueue at the default profile:
+   these seeds used to let a consumer pop an in-flight element against an
+   older element's size credit, so a second consumer saw size 0 and
+   returned EMPTY while that older element was still queued (DESIGN.md
+   §S18, credit order). *)
+let test_bounded_lf_credit_order () =
+  let s = Harness.sweep_impl (QA.find QA.Sim "bounded:SkipQueue-lf") [ 18L; 27L; 29L ] in
+  Alcotest.(check (list string))
+    "bounded:SkipQueue-lf seeds 18/27/29 clean"
+    []
+    (List.map
+       (fun v -> Printf.sprintf "seed %Ld %s: %s" v.Harness.seed v.Harness.check v.Harness.message)
+       s.Harness.violations)
+
 (* DESIGN.md §S16: a sweep fanned out over domains must produce the very
    summary the sequential sweep does — same event counts, same verdicts,
    in the same order. *)
@@ -402,6 +416,8 @@ let () =
           Alcotest.test_case "records full histories" `Quick test_harness_records;
           Alcotest.test_case "mini sweep clean" `Quick test_mini_sweep_clean;
           Alcotest.test_case "parallel sweep identical" `Quick test_sweep_jobs_identity;
+          Alcotest.test_case "bounded lock-free credit order" `Quick
+            test_bounded_lf_credit_order;
           Alcotest.test_case "broken queue caught" `Quick test_broken_queue_caught;
           Alcotest.test_case "broken elimination caught" `Quick test_broken_elim_caught;
         ] );

@@ -464,7 +464,7 @@ let figure_digests =
     ("ablation-memory-model", "87a0c39d25b7cab0b76442372e3953f9");
     ("ablation-elimination", "8095ea021aec834fe9fc58ba68794ff7");
     ("ablation-lockfree", "83fcf254a659a6cb0ff054f86c9f4685");
-    ("scheduler", "eb462c0de8f85e84f772ec20e0d2cc19");
+    ("scheduler", "d8d17e778e0aa32e6d85c156da85e4ea");
     ("klsm-shootout", "3622e900a2ff4b86bf4985acab79b0fc");
     ("duplicate-heavy", "74bbfbb7994e30b8079c935fccf35ead");
   ]
