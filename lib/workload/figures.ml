@@ -1,5 +1,6 @@
 module Stats = Repro_util.Stats
 module Table = Repro_util.Table
+module Sim = Queue_adapter.Sim
 
 type result = {
   id : string;
@@ -45,16 +46,68 @@ let render r =
 
 let scaled options n = Int.max 400 (int_of_float (float_of_int n *. options.scale))
 let proc_counts options = List.init (options.max_procs_log2 + 1) (fun i -> 1 lsl i)
+let top_procs options = 1 lsl options.max_procs_log2
 
-(* Run one implementation across the processor sweep.  Points are
-   independent simulations, so they fan out over [options.jobs] domains
-   (identical results either way — see Jobs). *)
-let sweep options ~impl ~workload_of =
-  Jobs.map ~jobs:options.jobs
-    (fun procs ->
-      options.progress (Printf.sprintf "%s @ %d procs" impl.Queue_adapter.name procs);
-      (procs, Benchmark.run impl (workload_of procs)))
-    (proc_counts options)
+(* The acceptance point of the traced probes: >= 64 processors (clamped
+   so tiny smoke-test sweeps stay in range). *)
+let probe_procs options = Int.min 64 (top_procs options)
+
+let del m = Stats.mean m.Benchmark.delete_latency
+let ins m = Stats.mean m.Benchmark.insert_latency
+
+(* Structured queue counters: one by name (0 when a structure does not
+   report it), or all of them rendered uniformly ("name=value ..."). *)
+let stat stats k = Option.value (List.assoc_opt k stats) ~default:0.0
+
+let stats_line stats =
+  String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%.0f" k v) stats)
+
+(* ------------------------------------------------------------------ *)
+
+(* An operation mix of the evaluation: initial size, total operations
+   (before [options.scale]) and insert share. *)
+type mix = { initial : int; ops : int; insert_ratio : float }
+
+let small = { initial = 50; ops = 7_000; insert_ratio = 0.5 } (* fig6 *)
+let large = { small with initial = 1000 } (* fig7 *)
+let deletions = { initial = 27_000; ops = 60_000; insert_ratio = 0.3 } (* fig5, fig8 *)
+
+let workload options ?(work = 100) ?(key_range = 1 lsl 20) mix ~procs =
+  {
+    Benchmark.procs;
+    initial_size = mix.initial;
+    total_ops = scaled options mix.ops;
+    insert_ratio = mix.insert_ratio;
+    work_cycles = work;
+    key_range;
+    seed = 42L;
+  }
+
+(* One series per [(name, impl_of)] across the processor sweep on [mix].
+   [impl_of procs] builds the implementation for each point — the
+   MultiQueue and the k-LSM size themselves to the processors they serve;
+   [fixed] shares one.  [ops_scale name] shrinks a slow structure's
+   operation count (down to 400) to keep its runs practical;
+   per-operation latency is unaffected.  Points are independent
+   simulations, so they fan out over [options.jobs] domains (identical
+   results either way — see Jobs). *)
+let sweep options ?key_range ?(ops_scale = fun _ -> 1.0) mix impls =
+  List.map
+    (fun (name, impl_of) ->
+      ( name,
+        Jobs.map ~jobs:options.jobs
+          (fun procs ->
+            options.progress (Printf.sprintf "%s @ %d procs" name procs);
+            let w = workload options ?key_range mix ~procs in
+            let total_ops =
+              Int.max 400
+                (int_of_float (float_of_int w.Benchmark.total_ops *. ops_scale name))
+            in
+            (procs, Benchmark.run (impl_of procs) { w with Benchmark.total_ops }))
+          (proc_counts options) ))
+    impls
+
+let fixed impl = (impl.Queue_adapter.name, Fun.const impl)
 
 (* The paper's figures are log-log latency curves; render an ASCII
    approximation under the tables so crossovers are visible at a glance. *)
@@ -78,55 +131,41 @@ let latency_plot ~series of_measurement ~title =
       ~x_scale:Repro_util.Ascii_plot.Log2 ~y_scale:Repro_util.Ascii_plot.Log10
       ~x_label:"processors" ~y_label:"cycles (log10)" plot_series
 
-let latency_tables ~series =
-  (* [series]: (name, (procs, measurement) list) list.  Two tables in the
-     paper's layout: deletions then insertions, one column per
-     structure. *)
+(* One table per measure in the paper's layout, one column per series. *)
+let series_table ~series cell =
   let procs = List.map fst (snd (List.hd series)) in
   let header = "procs" :: List.map fst series in
-  let table of_measurement =
-    let rows =
-      List.map
-        (fun n ->
-          string_of_int n
-          :: List.map
-               (fun (_, points) ->
-                 let m = List.assoc n points in
-                 Table.float_cell ~decimals:0 (of_measurement m))
-               series)
-        procs
-    in
-    Table.render ~header rows
+  let rows =
+    List.map
+      (fun n ->
+        string_of_int n
+        :: List.map (fun (_, points) -> cell (List.assoc n points)) series)
+      procs
   in
-  let delete m = Stats.mean m.Benchmark.delete_latency in
-  let insert m = Stats.mean m.Benchmark.insert_latency in
-  "Average Delete-min latency (simulated cycles)\n" ^ table delete
-  ^ "\nAverage Insert latency (simulated cycles)\n" ^ table insert
-  ^ "\n"
-  ^ latency_plot ~series delete ~title:"Delete-min latency"
-  ^ "\n"
-  ^ latency_plot ~series insert ~title:"Insert latency"
+  Table.render ~header rows
 
-(* Structured queue counters, rendered uniformly ("name=value ..."). *)
-let stats_line stats =
-  String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%.0f" k v) stats)
+let latency_tables ~series =
+  let cycles f m = Table.float_cell ~decimals:0 (f m) in
+  "Average Delete-min latency (simulated cycles)\n" ^ series_table ~series (cycles del)
+  ^ "\nAverage Insert latency (simulated cycles)\n" ^ series_table ~series (cycles ins)
+  ^ "\n"
+  ^ latency_plot ~series del ~title:"Delete-min latency"
+  ^ "\n"
+  ^ latency_plot ~series ins ~title:"Insert latency"
 
-let at series name procs =
-  let points = List.assoc name series in
-  List.assoc procs points
+let rank_of m =
+  if Stats.count m.Benchmark.rank_error = 0 then 0.0
+  else Stats.mean m.Benchmark.rank_error
+
+let rank_table ~series =
+  "Mean Delete-min rank error (elements ahead of the returned key)\n"
+  ^ series_table ~series (fun m -> Table.float_cell ~decimals:2 (rank_of m))
+
+let at series name procs = List.assoc procs (List.assoc name series)
 
 let ratio_indicator series ~slow ~fast ~procs f label =
   let s = f (at series slow procs) and q = f (at series fast procs) in
   (label, if q = 0.0 then nan else s /. q)
-
-let del m = Stats.mean m.Benchmark.delete_latency
-let ins m = Stats.mean m.Benchmark.insert_latency
-
-let series_data series =
-  List.map
-    (fun (name, points) ->
-      (name, List.map (fun (x, m) -> (float_of_int x, del m, ins m)) points))
-    series
 
 (* Find the smallest processor count from which [fast] stays at or below
    [slow] for the rest of the sweep — the crossover the paper narrates. *)
@@ -142,30 +181,115 @@ let crossover series ~slow ~fast f =
   in
   scan points_fast
 
-(* ------------------------------------------------------------------ *)
+(* One section of a figure: a heading (with its newline, or empty), the
+   latency tables of [series], then [extra].  [tag] suffixes the
+   section's CSV series names ("name/tag") when one figure sweeps the same
+   structures over several workloads. *)
+type section = {
+  heading : string;
+  tag : string option;
+  series : (string * (int * Benchmark.measurement) list) list;
+  extra : string;
+}
 
-let base_workload options ~procs ~initial ~ops ~insert_ratio ~work =
-  {
-    Benchmark.procs;
-    initial_size = initial;
-    total_ops = scaled options ops;
-    insert_ratio;
-    work_cycles = work;
-    key_range = 1 lsl 20;
-    seed = 42L;
-  }
+let section ?tag ?(extra = "") heading series = { heading; tag; series; extra }
+let titled title = Printf.sprintf "--- %s ---\n" title
+
+(* Sections are separated by a blank line; [after] closes the body. *)
+let figure ~id ~title ?(after = "") sections indicators =
+  let body =
+    String.concat "\n"
+      (List.map (fun s -> s.heading ^ latency_tables ~series:s.series ^ s.extra) sections)
+    ^ after
+  in
+  let data =
+    List.concat_map
+      (fun s ->
+        List.map
+          (fun (name, points) ->
+            ( Option.fold ~none:name ~some:(Printf.sprintf "%s/%s" name) s.tag,
+              List.map (fun (x, m) -> (float_of_int x, del m, ins m)) points ))
+          s.series)
+      sections
+  in
+  { id; title; body; indicators; data }
+
+(* A figure that is one set of latency tables, plus an optional note. *)
+let latency_figure ~id ~title ?(note = "") series indicators =
+  figure ~id ~title [ section ~extra:note "" series ] indicators
+
+(* Head-of-list contention probe.  Full tracing is too costly for a whole
+   sweep, so rerun the fig7 mix (100 cycles of work, keys below
+   [key_range]) once per structure at [probe_procs] under a Trace.Summary
+   sink and see where the queued cycles land: (hottest line, top-8 lines)
+   queued cycles. *)
+let head_probe options ~key_range impl =
+  let procs = probe_procs options in
+  options.progress
+    (Printf.sprintf "head probe: %s @ %d procs" impl.Queue_adapter.name procs);
+  let summary = Repro_sim.Trace.Summary.create () in
+  let ops = scaled options large.ops in
+  let (_ : Repro_sim.Machine.report) =
+    Repro_sim.Machine.run
+      ~tracer:(Repro_sim.Trace.Summary.sink summary)
+      (fun () ->
+        let q = impl.Queue_adapter.create () in
+        let rng = Repro_util.Rng.of_seed 99L in
+        for i = 0 to large.initial - 1 do
+          q.Queue_adapter.insert (Repro_util.Rng.int rng key_range) (1_000_000 + i)
+        done;
+        for p = 0 to procs - 1 do
+          let rng = Repro_util.Rng.of_seed (Int64.of_int (7_000 + p)) in
+          Repro_sim.Machine.spawn (fun () ->
+              for i = 0 to (ops / procs) - 1 do
+                Repro_sim.Machine.work 100;
+                if Repro_util.Rng.bernoulli rng large.insert_ratio then
+                  q.Queue_adapter.insert
+                    (Repro_util.Rng.int rng key_range)
+                    ((p * 1_000_000) + i)
+                else ignore (q.Queue_adapter.try_delete_min ())
+              done)
+        done)
+  in
+  let queued =
+    List.map
+      (fun (_, _, q) -> q)
+      (Repro_sim.Trace.Summary.hottest_locations summary ~n:8)
+  in
+  ((match queued with q :: _ -> q | [] -> 0), List.fold_left ( + ) 0 queued)
+
+(* The probe of each structure, by name, and its rendered block. *)
+let head_probes options ~workload ~key_range impls =
+  let probes =
+    List.map
+      (fun impl -> (impl.Queue_adapter.name, head_probe options ~key_range impl))
+      impls
+  in
+  let probe_line (name, (hottest, top8)) =
+    Printf.sprintf "%-22s hottest line queued %9d cycles; top-8 lines %9d\n" name hottest
+      top8
+  in
+  ( probes,
+    Printf.sprintf
+      "\nHead-of-list contention probe (%s workload, %d procs, full tracing)\n" workload
+      (probe_procs options)
+    ^ String.concat "" (List.map probe_line probes) )
+
+let hottest_ratio probes ~slow ~fast =
+  float_of_int (fst (List.assoc slow probes))
+  /. float_of_int (Int.max 1 (fst (List.assoc fast probes)))
+
+(* ------------------------------------------------------------------ *)
 
 let fig2 options =
   let works = [ 100; 1000; 2000; 3000; 4000; 5000; 6000 ] in
-  let impl = Queue_adapter.Sim.skipqueue () in
+  let impl = Sim.skipqueue () in
+  let procs = top_procs options in
   let measurements =
     Jobs.map ~jobs:options.jobs
       (fun work ->
         options.progress (Printf.sprintf "fig2: work=%d" work);
-        let w =
-          base_workload options ~procs:(1 lsl options.max_procs_log2) ~initial:1000
-            ~ops:70_000 ~insert_ratio:0.5 ~work
-        in
+        let w = workload options ~work { large with ops = 70_000 } ~procs in
         (work, Benchmark.run impl w))
       works
   in
@@ -182,7 +306,7 @@ let fig2 options =
   let body =
     Printf.sprintf
       "SkipQueue latency vs. amount of local work (%d processes, 1000 initial elements)\n"
-      (1 lsl options.max_procs_log2)
+      procs
     ^ Table.render ~header:[ "work"; "delete_min latency"; "insert latency" ] rows
   in
   let first = List.assoc 100 measurements and last = List.assoc 6000 measurements in
@@ -202,44 +326,38 @@ let fig2 options =
       ];
   }
 
-let heap_capacity options ~initial ~ops =
-  initial + scaled options ops + 100
-
-let comparison_figure options ~id ~title ~initial ~ops ~insert_ratio ~with_funnel_list
-    ~funnel_list_ops_scale =
+(* Heap vs SkipQueue, plus the FunnelList measured over [funnel_list] of
+   the operations when given. *)
+let comparison_figure options ~id ~title ?funnel_list mix =
+  let heap = Sim.hunt_heap ~capacity:(mix.initial + scaled options mix.ops + 100) () in
   let impls =
-    [ Queue_adapter.Sim.hunt_heap
-        ~capacity:(heap_capacity options ~initial ~ops) ();
-      Queue_adapter.Sim.skipqueue () ]
-    @ (if with_funnel_list then [ Queue_adapter.Sim.funnel_list () ] else [])
+    [ heap; Sim.skipqueue () ] @ if funnel_list = None then [] else [ Sim.funnel_list () ]
   in
-  let series =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          let w = base_workload options ~procs ~initial ~ops ~insert_ratio ~work:100 in
-          if impl.Queue_adapter.name = "FunnelList" then
-            {
-              w with
-              Benchmark.total_ops =
-                Int.max 400
-                  (int_of_float (float_of_int w.Benchmark.total_ops *. funnel_list_ops_scale));
-            }
-          else w
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      impls
+  let ops_scale name =
+    match funnel_list with Some s when name = "FunnelList" -> s | _ -> 1.0
   in
-  let top = 1 lsl options.max_procs_log2 in
-  let indicators =
-    [
-      ratio_indicator series ~slow:"Heap" ~fast:"SkipQueue" ~procs:top del
-        (Printf.sprintf "Heap/SkipQueue deletion latency @%d" top);
-      ratio_indicator series ~slow:"Heap" ~fast:"SkipQueue" ~procs:top ins
-        (Printf.sprintf "Heap/SkipQueue insertion latency @%d" top);
-    ]
+  let series = sweep options ~ops_scale mix (List.map fixed impls) in
+  let top = top_procs options in
+  let note =
+    match funnel_list with
+    | Some s when s < 1.0 ->
+      Printf.sprintf
+        "(FunnelList measured over %.0f%% of the operations — linear-time \
+         operations make full runs impractically slow to simulate; per-operation \
+         latency is unaffected.)\n"
+        (100.0 *. s)
+    | _ -> ""
+  in
+  latency_figure ~id ~title ~note series
+    ([
+       ratio_indicator series ~slow:"Heap" ~fast:"SkipQueue" ~procs:top del
+         (Printf.sprintf "Heap/SkipQueue deletion latency @%d" top);
+       ratio_indicator series ~slow:"Heap" ~fast:"SkipQueue" ~procs:top ins
+         (Printf.sprintf "Heap/SkipQueue insertion latency @%d" top);
+     ]
     @
-    if with_funnel_list then
+    if funnel_list = None then []
+    else
       [
         ratio_indicator series ~slow:"FunnelList" ~fast:"SkipQueue" ~procs:top del
           (Printf.sprintf "FunnelList/SkipQueue deletion latency @%d" top);
@@ -247,261 +365,135 @@ let comparison_figure options ~id ~title ~initial ~ops ~insert_ratio ~with_funne
           crossover series ~slow:"FunnelList" ~fast:"SkipQueue" del );
         ( "crossover procs: SkipQueue beats FunnelList (insertions)",
           crossover series ~slow:"FunnelList" ~fast:"SkipQueue" ins );
-      ]
-    else []
-  in
-  let note =
-    if with_funnel_list && funnel_list_ops_scale < 1.0 then
-      Printf.sprintf
-        "(FunnelList measured over %.0f%% of the operations — linear-time \
-         operations make full runs impractically slow to simulate; per-operation \
-         latency is unaffected.)\n"
-        (100.0 *. funnel_list_ops_scale)
-    else ""
-  in
-  { id; title; body = latency_tables ~series ^ note; indicators; data = series_data series }
+      ])
 
 let fig3 options =
   comparison_figure options ~id:"fig3"
-    ~title:"small structure (50 initial, 70000 ops, 50% inserts)" ~initial:50
-    ~ops:70_000 ~insert_ratio:0.5 ~with_funnel_list:true ~funnel_list_ops_scale:1.0
+    ~title:"small structure (50 initial, 70000 ops, 50% inserts)" ~funnel_list:1.0
+    { small with ops = 70_000 }
 
 let fig4 options =
   comparison_figure options ~id:"fig4"
-    ~title:"large structure (1000 initial, 70000 ops, 50% inserts)" ~initial:1000
-    ~ops:70_000 ~insert_ratio:0.5 ~with_funnel_list:true ~funnel_list_ops_scale:0.1
+    ~title:"large structure (1000 initial, 70000 ops, 50% inserts)" ~funnel_list:0.1
+    { large with ops = 70_000 }
 
 let fig5 options =
   comparison_figure options ~id:"fig5"
-    ~title:"70% deletions (27000 initial, 60000 ops, 30% inserts)" ~initial:27_000
-    ~ops:60_000 ~insert_ratio:0.3 ~with_funnel_list:false ~funnel_list_ops_scale:1.0
+    ~title:"70% deletions (27000 initial, 60000 ops, 30% inserts)" deletions
 
-let relaxed_figure options ~id ~title ~initial ~ops ~insert_ratio =
-  let impls =
-    [ Queue_adapter.Sim.skipqueue (); Queue_adapter.Sim.(plain (relaxed skipqueue_base)) ]
-  in
+let relaxed_figure options ~id ~title mix =
   let series =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          base_workload options ~procs ~initial ~ops ~insert_ratio ~work:100
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      impls
+    sweep options mix
+      [ fixed (Sim.skipqueue ()); fixed Sim.(plain (relaxed skipqueue_base)) ]
   in
-  let top = 1 lsl options.max_procs_log2 in
-  {
-    id;
-    title;
-    body = latency_tables ~series;
-    indicators =
-      [
-        ratio_indicator series ~slow:"SkipQueue" ~fast:"Relaxed SkipQueue" ~procs:top
-          del
-          (Printf.sprintf "strict/relaxed deletion latency @%d (paper: up to 2x)" top);
-        ratio_indicator series ~slow:"Relaxed SkipQueue" ~fast:"SkipQueue" ~procs:top
-          ins
-          (Printf.sprintf "relaxed/strict insertion latency @%d (paper: >= 1)" top);
-      ];
-    data = series_data series;
-  }
+  let top = top_procs options in
+  latency_figure ~id ~title series
+    [
+      ratio_indicator series ~slow:"SkipQueue" ~fast:"Relaxed SkipQueue" ~procs:top del
+        (Printf.sprintf "strict/relaxed deletion latency @%d (paper: up to 2x)" top);
+      ratio_indicator series ~slow:"Relaxed SkipQueue" ~fast:"SkipQueue" ~procs:top ins
+        (Printf.sprintf "relaxed/strict insertion latency @%d (paper: >= 1)" top);
+    ]
 
 let fig6 options =
   relaxed_figure options ~id:"fig6"
-    ~title:"SkipQueue vs Relaxed, small structure (50 initial, 7000 ops)" ~initial:50
-    ~ops:7_000 ~insert_ratio:0.5
+    ~title:"SkipQueue vs Relaxed, small structure (50 initial, 7000 ops)" small
 
 let fig7 options =
   relaxed_figure options ~id:"fig7"
-    ~title:"SkipQueue vs Relaxed, large structure (1000 initial, 7000 ops)"
-    ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
+    ~title:"SkipQueue vs Relaxed, large structure (1000 initial, 7000 ops)" large
 
 let fig8 options =
   relaxed_figure options ~id:"fig8"
-    ~title:"SkipQueue vs Relaxed, 70% deletions (27000 initial, 60000 ops)"
-    ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3
+    ~title:"SkipQueue vs Relaxed, 70% deletions (27000 initial, 60000 ops)" deletions
 
 (* ------------------------------------------------------------------ *)
 
 (* The MultiQueue sweep: the modern endpoint of §5.2's relaxation idea
    (c-way choice over try-locked shards) against the paper's Relaxed
-   SkipQueue, with the strict SkipQueue as the exactness anchor.  Reports
-   both latency and Delete-min rank error, so the speed/quality trade is
-   quantified instead of implied. *)
-
-let rank_of m =
-  if Stats.count m.Benchmark.rank_error = 0 then 0.0
-  else Stats.mean m.Benchmark.rank_error
-
-let rank_table ~series =
-  let procs = List.map fst (snd (List.hd series)) in
-  let header = "procs" :: List.map fst series in
-  let rows =
-    List.map
-      (fun n ->
-        string_of_int n
-        :: List.map
-             (fun (_, points) ->
-               Table.float_cell ~decimals:2 (rank_of (List.assoc n points)))
-             series)
-      procs
-  in
-  "Mean Delete-min rank error (elements ahead of the returned key)\n"
-  ^ Table.render ~header rows
-
-(* Like [sweep], but rebuilding the implementation for each processor
-   count — the MultiQueue's shard count scales with the processors it
-   serves. *)
-let sweep_per_procs options ~name ~impl_of ~workload_of =
-  Jobs.map ~jobs:options.jobs
-    (fun procs ->
-      options.progress (Printf.sprintf "%s @ %d procs" name procs);
-      (procs, Benchmark.run (impl_of procs) (workload_of procs)))
-    (proc_counts options)
-
+   SkipQueue.  Reports both latency and Delete-min rank error, so the
+   speed/quality trade is quantified instead of implied. *)
 let multiqueue options =
-  let sub ~tag ~initial ~ops ~insert_ratio =
-    let workload_of procs =
-      base_workload options ~procs ~initial ~ops ~insert_ratio ~work:100
-    in
-    [
-      ( "Relaxed SkipQueue",
-        sweep options ~impl:(Queue_adapter.Sim.(plain (relaxed skipqueue_base))) ~workload_of );
-      ( "MultiQueue",
-        sweep_per_procs options
-          ~name:(Printf.sprintf "MultiQueue [%s]" tag)
-          ~impl_of:(fun procs -> Queue_adapter.Sim.multiqueue ~procs ())
-          ~workload_of );
-    ]
-  in
+  let top = top_procs options in
   let workloads =
-    [
-      ("small", "small structure (50 initial, 7000 ops, 50% inserts)",
-       sub ~tag:"small" ~initial:50 ~ops:7_000 ~insert_ratio:0.5);
-      ("large", "large structure (1000 initial, 7000 ops, 50% inserts)",
-       sub ~tag:"large" ~initial:1000 ~ops:7_000 ~insert_ratio:0.5);
-      ("70% deletions", "70% deletions (27000 initial, 60000 ops, 30% inserts)",
-       sub ~tag:"70% deletions" ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3);
-    ]
+    List.map
+      (fun (tag, title, mix) ->
+        ( tag,
+          sweep options mix
+            [
+              fixed Sim.(plain (relaxed skipqueue_base));
+              ("MultiQueue", fun procs -> Sim.multiqueue ~procs ());
+            ],
+          title ))
+      [
+        ("small", "small structure (50 initial, 7000 ops, 50% inserts)", small);
+        ("large", "large structure (1000 initial, 7000 ops, 50% inserts)", large);
+        ( "70% deletions",
+          "70% deletions (27000 initial, 60000 ops, 30% inserts)",
+          deletions );
+      ]
   in
-  let top = 1 lsl options.max_procs_log2 in
-  let body =
-    String.concat "\n"
-      (List.map
-         (fun (_, title, series) ->
-           Printf.sprintf "--- %s ---\n" title
-           ^ latency_tables ~series ^ "\n" ^ rank_table ~series)
-         workloads)
-  in
-  let indicators =
-    List.concat_map
-      (fun (tag, _, series) ->
-        [
-          ratio_indicator series ~slow:"Relaxed SkipQueue" ~fast:"MultiQueue"
-            ~procs:top del
-            (Printf.sprintf "relaxed/multiqueue deletion latency @%d, %s" top tag);
-          ratio_indicator series ~slow:"Relaxed SkipQueue" ~fast:"MultiQueue"
-            ~procs:top ins
-            (Printf.sprintf "relaxed/multiqueue insertion latency @%d, %s" top tag);
-          ( Printf.sprintf "multiqueue mean rank error @%d, %s" top tag,
-            rank_of (at series "MultiQueue" top) );
-          ( Printf.sprintf "relaxed skipqueue mean rank error @%d, %s" top tag,
-            rank_of (at series "Relaxed SkipQueue" top) );
-        ])
-      workloads
-  in
-  let data =
-    List.concat_map
-      (fun (tag, _, series) ->
-        List.map
-          (fun (name, points) -> (Printf.sprintf "%s/%s" name tag, points))
-          (series_data series))
-      workloads
-  in
-  {
-    id = "multiqueue";
-    title = "MultiQueue vs Relaxed SkipQueue: latency and rank error";
-    body;
-    indicators;
-    data;
-  }
+  figure ~id:"multiqueue" ~title:"MultiQueue vs Relaxed SkipQueue: latency and rank error"
+    (List.map
+       (fun (tag, series, title) ->
+         section ~tag ~extra:("\n" ^ rank_table ~series) (titled title) series)
+       workloads)
+    (List.concat_map
+       (fun (tag, series, _) ->
+         [
+           ratio_indicator series ~slow:"Relaxed SkipQueue" ~fast:"MultiQueue" ~procs:top
+             del
+             (Printf.sprintf "relaxed/multiqueue deletion latency @%d, %s" top tag);
+           ratio_indicator series ~slow:"Relaxed SkipQueue" ~fast:"MultiQueue" ~procs:top
+             ins
+             (Printf.sprintf "relaxed/multiqueue insertion latency @%d, %s" top tag);
+           ( Printf.sprintf "multiqueue mean rank error @%d, %s" top tag,
+             rank_of (at series "MultiQueue" top) );
+           ( Printf.sprintf "relaxed skipqueue mean rank error @%d, %s" top tag,
+             rank_of (at series "Relaxed SkipQueue" top) );
+         ])
+       workloads)
 
 let ablation_funnel_front options =
-  let impls =
-    [ Queue_adapter.Sim.skipqueue (); Queue_adapter.Sim.funneled_skipqueue () ]
-  in
   let series =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          base_workload options ~procs ~initial:50 ~ops:7_000 ~insert_ratio:0.5
-            ~work:100
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      impls
+    sweep options small [ fixed (Sim.skipqueue ()); fixed (Sim.funneled_skipqueue ()) ]
   in
-  let top = 1 lsl options.max_procs_log2 in
-  {
-    id = "ablation-funnel-front";
-    title = "funnel-regulated Delete-min vs racing SWAPs (the design §5 rejects)";
-    body = latency_tables ~series;
-    data = series_data series;
-    indicators =
-      [
-        ratio_indicator series ~slow:"SkipQueue + delete funnel" ~fast:"SkipQueue"
-          ~procs:top del
-          (Printf.sprintf "funneled/plain deletion latency @%d (paper: > 1 at high \
-                           concurrency)" top);
-      ];
-  }
+  let top = top_procs options in
+  latency_figure ~id:"ablation-funnel-front"
+    ~title:"funnel-regulated Delete-min vs racing SWAPs (the design §5 rejects)" series
+    [
+      ratio_indicator series ~slow:"SkipQueue + delete funnel" ~fast:"SkipQueue"
+        ~procs:top del
+        (Printf.sprintf "funneled/plain deletion latency @%d (paper: > 1 at high \
+                         concurrency)" top);
+    ]
 
 let ablation_skiplist_params options =
-  let variants =
-    [
-      ("p=0.50 maxlvl=20", Queue_adapter.Sim.skipqueue ~p:0.5 ~max_level:20 ());
-      ("p=0.25 maxlvl=20", Queue_adapter.Sim.skipqueue ~p:0.25 ~max_level:20 ());
-      ("p=0.75 maxlvl=20", Queue_adapter.Sim.skipqueue ~p:0.75 ~max_level:20 ());
-      ("p=0.50 maxlvl=10", Queue_adapter.Sim.skipqueue ~p:0.5 ~max_level:10 ());
-      ("p=0.50 maxlvl=5", Queue_adapter.Sim.skipqueue ~p:0.5 ~max_level:5 ());
-    ]
+  let variant p max_level =
+    ( Printf.sprintf "p=%.2f maxlvl=%d" p max_level,
+      Fun.const (Sim.skipqueue ~p ~max_level ()) )
   in
   let series =
-    List.map
-      (fun (name, impl) ->
-        let workload_of procs =
-          base_workload options ~procs ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
-            ~work:100
-        in
-        (name, sweep options ~impl ~workload_of))
-      variants
+    sweep options large
+      [ variant 0.5 20; variant 0.25 20; variant 0.75 20; variant 0.5 10; variant 0.5 5 ]
   in
-  let top = 1 lsl options.max_procs_log2 in
-  {
-    id = "ablation-skiplist-params";
-    title = "SkipQueue sensitivity to p and max_level (1000 initial, 7000 ops)";
-    body = latency_tables ~series;
-    data = series_data series;
-    indicators =
-      [
-        ratio_indicator series ~slow:"p=0.50 maxlvl=5" ~fast:"p=0.50 maxlvl=20"
-          ~procs:top ins
-          "insertion penalty of starving levels (maxlvl 5 vs 20)";
-      ];
-  }
+  let top = top_procs options in
+  latency_figure ~id:"ablation-skiplist-params"
+    ~title:"SkipQueue sensitivity to p and max_level (1000 initial, 7000 ops)" series
+    [
+      ratio_indicator series ~slow:"p=0.50 maxlvl=5" ~fast:"p=0.50 maxlvl=20" ~procs:top
+        ins "insertion penalty of starving levels (maxlvl 5 vs 20)";
+    ]
 
 let ablation_timestamp options =
   (* Same workload strict vs relaxed, but report the queues' internal hunt
      statistics rather than latency. *)
   let run impl =
-    let w =
-      base_workload options ~procs:(1 lsl options.max_procs_log2) ~initial:50
-        ~ops:7_000 ~insert_ratio:0.5 ~work:100
-    in
     options.progress (Printf.sprintf "timestamp ablation: %s" impl.Queue_adapter.name);
-    Benchmark.run impl w
+    Benchmark.run impl (workload options small ~procs:(top_procs options))
   in
-  let strict = run (Queue_adapter.Sim.skipqueue ()) in
-  let relaxed = run (Queue_adapter.Sim.(plain (relaxed skipqueue_base))) in
+  let strict = run (Sim.skipqueue ()) in
+  let relaxed = run Sim.(plain (relaxed skipqueue_base)) in
   let line name m =
     Printf.sprintf "%-18s delete mean %8.0f  insert mean %8.0f  %s\n" name
       (del m) (ins m)
@@ -520,94 +512,54 @@ let ablation_timestamp options =
   }
 
 let ablation_reclamation options =
-  let impls =
-    [
-      Queue_adapter.Sim.skipqueue ();
-      Queue_adapter.Sim.skipqueue_with_reclamation ();
-    ]
-  in
   let series =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          base_workload options ~procs ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
-            ~work:100
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      impls
+    sweep options large
+      [ fixed (Sim.skipqueue ()); fixed (Sim.skipqueue_with_reclamation ()) ]
   in
-  let top = 1 lsl options.max_procs_log2 in
-  let reclamation_stats =
-    let m = at series "SkipQueue + reclamation" top in
-    stats_line m.Benchmark.queue_stats
-  in
-  {
-    id = "ablation-reclamation";
-    data = series_data series;
-    title = "overhead of the live reclamation protocol (dedicated collector, §3)";
-    body =
-      latency_tables ~series
-      ^ Printf.sprintf "\nreclamation at %d procs: %s\n" top reclamation_stats;
-    indicators =
-      [
-        ratio_indicator series ~slow:"SkipQueue + reclamation" ~fast:"SkipQueue"
-          ~procs:top del
-          (Printf.sprintf "reclamation/plain deletion latency @%d" top);
-        ratio_indicator series ~slow:"SkipQueue + reclamation" ~fast:"SkipQueue"
-          ~procs:top ins
-          (Printf.sprintf "reclamation/plain insertion latency @%d" top);
-      ];
-  }
+  let top = top_procs options in
+  latency_figure ~id:"ablation-reclamation"
+    ~title:"overhead of the live reclamation protocol (dedicated collector, §3)"
+    ~note:
+      (Printf.sprintf "\nreclamation at %d procs: %s\n" top
+         (stats_line (at series "SkipQueue + reclamation" top).Benchmark.queue_stats))
+    series
+    [
+      ratio_indicator series ~slow:"SkipQueue + reclamation" ~fast:"SkipQueue" ~procs:top
+        del
+        (Printf.sprintf "reclamation/plain deletion latency @%d" top);
+      ratio_indicator series ~slow:"SkipQueue + reclamation" ~fast:"SkipQueue" ~procs:top
+        ins
+        (Printf.sprintf "reclamation/plain insertion latency @%d" top);
+    ]
 
 (* The paper's §1.1/§2 positioning: bounded-range bin queues win when the
    priority set is small and known, and stop being viable as the range
    grows — which is the case the SkipQueue exists for. *)
 let ablation_bounded_range options =
-  let sub ~range ~ops_scale =
-    let impls =
-      [ Queue_adapter.Sim.bin_queue ~range (); Queue_adapter.Sim.skipqueue () ]
-    in
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          let w =
-            base_workload options ~procs ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
-              ~work:100
-          in
-          let total_ops =
-            (* The sparse bin queue's stale-hint scans make its operations
-               linear in the range; cap the operation count as for the
-               FunnelList in fig4 — per-operation latency is unaffected. *)
-            if impl.Queue_adapter.name <> "SkipQueue" then
-              Int.max 400 (int_of_float (float_of_int w.Benchmark.total_ops *. ops_scale))
-            else w.Benchmark.total_ops
-          in
-          { w with Benchmark.key_range = range; total_ops }
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      impls
+  let range_series ~range ~ops_scale =
+    (* The sparse bin queue's stale-hint scans make its operations linear
+       in the range; cap its operation count as for the FunnelList in
+       fig4. *)
+    sweep options ~key_range:range
+      ~ops_scale:(fun name -> if name = "SkipQueue" then 1.0 else ops_scale)
+      large
+      [ fixed (Sim.bin_queue ~range ()); fixed (Sim.skipqueue ()) ]
   in
-  let dense = sub ~range:256 ~ops_scale:1.0 in
-  let sparse = sub ~range:65_536 ~ops_scale:0.2 in
-  let top = 1 lsl options.max_procs_log2 in
-  {
-    id = "ablation-bounded-range";
-    title = "bounded-range bin queue [39] vs SkipQueue (1000 initial, 7000 ops)";
-    data = series_data dense @ series_data sparse;
-    body =
-      "Dense priorities (range 256 — the bin queue's home turf)\n"
-      ^ latency_tables ~series:dense
-      ^ "\nSparse priorities (range 65536 — the general case)\n"
-      ^ latency_tables ~series:sparse;
-    indicators =
-      [
-        ratio_indicator dense ~slow:"SkipQueue" ~fast:"BinQueue(256)" ~procs:top del
-          (Printf.sprintf "SkipQueue/BinQueue deletion @%d, dense range" top);
-        ratio_indicator sparse ~slow:"BinQueue(65536)" ~fast:"SkipQueue" ~procs:top
-          del
-          (Printf.sprintf "BinQueue/SkipQueue deletion @%d, sparse range" top);
-      ];
-  }
+  let dense = range_series ~range:256 ~ops_scale:1.0 in
+  let sparse = range_series ~range:65_536 ~ops_scale:0.2 in
+  let top = top_procs options in
+  figure ~id:"ablation-bounded-range"
+    ~title:"bounded-range bin queue [39] vs SkipQueue (1000 initial, 7000 ops)"
+    [
+      section "Dense priorities (range 256 — the bin queue's home turf)\n" dense;
+      section "Sparse priorities (range 65536 — the general case)\n" sparse;
+    ]
+    [
+      ratio_indicator dense ~slow:"SkipQueue" ~fast:"BinQueue(256)" ~procs:top del
+        (Printf.sprintf "SkipQueue/BinQueue deletion @%d, dense range" top);
+      ratio_indicator sparse ~slow:"BinQueue(65536)" ~fast:"SkipQueue" ~procs:top del
+        (Printf.sprintf "BinQueue/SkipQueue deletion @%d, sparse range" top);
+    ]
 
 (* Which ingredient of the memory model produces which phenomenon: rerun a
    contended workload with individual cost mechanisms switched off. *)
@@ -621,11 +573,9 @@ let ablation_memory_model options =
       ("flat memory", MM.sequential);
     ]
   in
-  let procs = Int.min 64 (1 lsl options.max_procs_log2) in
-  let impls =
-    [ Queue_adapter.Sim.hunt_heap (); Queue_adapter.Sim.skipqueue () ]
-  in
-  let w = base_workload options ~procs ~initial:50 ~ops:7_000 ~insert_ratio:0.5 ~work:100 in
+  let procs = Int.min 64 (top_procs options) in
+  let impls = [ Sim.hunt_heap (); Sim.skipqueue () ] in
+  let w = workload options small ~procs in
   let cell = Table.float_cell ~decimals:0 in
   let measurements =
     Jobs.map ~jobs:options.jobs
@@ -678,264 +628,110 @@ let ablation_memory_model options =
 
 (* A9: the elimination–combining front end (Calciu, Mendes & Herlihy, 25
    years on from §5) grafted onto the SkipQueue.  Latency sweeps on the
-   fig7/fig8 workloads, plus a fully traced run at up to 64 processors
-   showing the head-of-list queueing drop: only combiners hunt the bottom
-   level, waiters spin on their private rendezvous cells. *)
+   fig7/fig8 workloads, plus the traced head probe showing the
+   head-of-list queueing drop: only combiners hunt the bottom level,
+   waiters spin on their private rendezvous cells. *)
 let ablation_elimination options =
-  let series_for impls ~initial ~ops ~insert_ratio =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          base_workload options ~procs ~initial ~ops ~insert_ratio ~work:100
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      impls
-  in
   let fig7_series =
-    series_for
-      [
-        Queue_adapter.Sim.skipqueue ();
-        Queue_adapter.Sim.(elim skipqueue_base);
-        Queue_adapter.Sim.(plain (relaxed skipqueue_base));
-        Queue_adapter.Sim.(elim (relaxed skipqueue_base));
-      ]
-      ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
+    sweep options large
+      (List.map fixed
+         [
+           Sim.skipqueue ();
+           Sim.(elim skipqueue_base);
+           Sim.(plain (relaxed skipqueue_base));
+           Sim.(elim (relaxed skipqueue_base));
+         ])
   in
   let fig8_series =
-    series_for
-      [ Queue_adapter.Sim.skipqueue (); Queue_adapter.Sim.(elim skipqueue_base) ]
-      ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3
+    sweep options deletions
+      (List.map fixed [ Sim.skipqueue (); Sim.(elim skipqueue_base) ])
   in
-  let top = 1 lsl options.max_procs_log2 in
-  (* The acceptance point of the paper-trail: >= 64 processors on the
-     fig7 workload (clamped so tiny smoke-test sweeps stay in range). *)
-  let probe_procs = Int.min 64 top in
-  (* Full tracing is too costly for the whole sweep; rerun the fig7
-     workload once per structure at [probe_procs] with a Trace.Summary
-     sink and compare where the queued cycles land. *)
-  let probe impl =
-    options.progress
-      (Printf.sprintf "elimination head probe: %s @ %d procs"
-         impl.Queue_adapter.name probe_procs);
-    let summary = Repro_sim.Trace.Summary.create () in
-    let ops = scaled options 7_000 in
-    let (_ : Repro_sim.Machine.report) =
-      Repro_sim.Machine.run
-        ~tracer:(Repro_sim.Trace.Summary.sink summary)
-        (fun () ->
-          let q = impl.Queue_adapter.create () in
-          let rng = Repro_util.Rng.of_seed 99L in
-          for i = 0 to 999 do
-            q.Queue_adapter.insert (Repro_util.Rng.int rng (1 lsl 20)) (1_000_000 + i)
-          done;
-          for p = 0 to probe_procs - 1 do
-            let rng = Repro_util.Rng.of_seed (Int64.of_int (7_000 + p)) in
-            Repro_sim.Machine.spawn (fun () ->
-                for i = 0 to (ops / probe_procs) - 1 do
-                  Repro_sim.Machine.work 100;
-                  if Repro_util.Rng.bernoulli rng 0.5 then
-                    q.Queue_adapter.insert
-                      (Repro_util.Rng.int rng (1 lsl 20))
-                      ((p * 1_000_000) + i)
-                  else ignore (q.Queue_adapter.try_delete_min ())
-                done)
-          done)
-    in
-    summary
+  let top = top_procs options and probe_procs = probe_procs options in
+  let probes, probe_text =
+    head_probes options ~workload:"fig7" ~key_range:(1 lsl 20)
+      [ Sim.skipqueue (); Sim.(elim skipqueue_base) ]
   in
-  let hottest_queued summary =
-    match Repro_sim.Trace.Summary.hottest_locations summary ~n:1 with
-    | (_, _, queued) :: _ -> queued
-    | [] -> 0
-  in
-  let top8_queued summary =
-    List.fold_left
-      (fun acc (_, _, queued) -> acc + queued)
-      0
-      (Repro_sim.Trace.Summary.hottest_locations summary ~n:8)
-  in
-  let probe_line name summary =
-    Printf.sprintf "%-22s hottest line queued %9d cycles; top-8 lines %9d\n" name
-      (hottest_queued summary) (top8_queued summary)
-  in
-  let plain_probe = probe (Queue_adapter.Sim.skipqueue ()) in
-  let elim_probe = probe (Queue_adapter.Sim.(elim skipqueue_base)) in
-  let front_counters =
-    stats_line (at fig7_series "SkipQueue-elim" top).Benchmark.queue_stats
-  in
-  let body =
-    "--- fig7 workload (1000 initial, 7000 ops, 50% inserts) ---\n"
-    ^ latency_tables ~series:fig7_series
-    ^ "\n--- fig8 workload (27000 initial, 60000 ops, 30% inserts) ---\n"
-    ^ latency_tables ~series:fig8_series
-    ^ Printf.sprintf
-        "\nHead-of-list contention probe (fig7 workload, %d procs, full tracing)\n"
-        probe_procs
-    ^ probe_line "SkipQueue" plain_probe
-    ^ probe_line "SkipQueue-elim" elim_probe
-    ^ Printf.sprintf "\nfront-end counters @%d procs (fig7): %s\n" top front_counters
-  in
+  let front = (at fig7_series "SkipQueue-elim" top).Benchmark.queue_stats in
   let rendezvous_share =
-    let stats = (at fig7_series "SkipQueue-elim" top).Benchmark.queue_stats in
-    let get k = try List.assoc k stats with Not_found -> 0.0 in
-    let answered = get "eliminated" +. get "served" +. get "handoff_empties" in
-    let deletes = answered +. get "timeouts" +. get "collisions" in
+    let answered =
+      stat front "eliminated" +. stat front "served" +. stat front "handoff_empties"
+    in
+    let deletes = answered +. stat front "timeouts" +. stat front "collisions" in
     if deletes = 0.0 then 0.0 else answered /. deletes
   in
-  {
-    id = "ablation-elimination";
-    title = "elimination-combining front end vs plain SkipQueue (fig7/fig8 workloads)";
-    body;
-    data = series_data fig7_series @ series_data fig8_series;
-    indicators =
-      [
-        ratio_indicator fig7_series ~slow:"SkipQueue" ~fast:"SkipQueue-elim"
-          ~procs:probe_procs del
-          (Printf.sprintf "plain/elim deletion latency @%d, fig7 (want > 1)" probe_procs);
-        ratio_indicator fig7_series ~slow:"SkipQueue" ~fast:"SkipQueue-elim" ~procs:top
-          del
-          (Printf.sprintf "plain/elim deletion latency @%d, fig7" top);
-        ratio_indicator fig7_series ~slow:"Relaxed SkipQueue"
-          ~fast:"Relaxed SkipQueue-elim" ~procs:top del
-          (Printf.sprintf "relaxed plain/elim deletion latency @%d, fig7" top);
-        ratio_indicator fig8_series ~slow:"SkipQueue" ~fast:"SkipQueue-elim" ~procs:top
-          del
-          (Printf.sprintf "plain/elim deletion latency @%d, fig8" top);
-        ( Printf.sprintf "plain/elim hottest-line queued cycles @%d procs" probe_procs,
-          float_of_int (hottest_queued plain_probe)
-          /. float_of_int (Int.max 1 (hottest_queued elim_probe)) );
-        ( Printf.sprintf "rendezvous share of deletes @%d (eliminated+served)" top,
-          rendezvous_share );
-      ];
-  }
+  figure ~id:"ablation-elimination"
+    ~title:"elimination-combining front end vs plain SkipQueue (fig7/fig8 workloads)"
+    ~after:
+      (probe_text
+      ^ Printf.sprintf "\nfront-end counters @%d procs (fig7): %s\n" top
+          (stats_line front))
+    [
+      section (titled "fig7 workload (1000 initial, 7000 ops, 50% inserts)") fig7_series;
+      section (titled "fig8 workload (27000 initial, 60000 ops, 30% inserts)")
+        fig8_series;
+    ]
+    [
+      ratio_indicator fig7_series ~slow:"SkipQueue" ~fast:"SkipQueue-elim"
+        ~procs:probe_procs del
+        (Printf.sprintf "plain/elim deletion latency @%d, fig7 (want > 1)" probe_procs);
+      ratio_indicator fig7_series ~slow:"SkipQueue" ~fast:"SkipQueue-elim" ~procs:top del
+        (Printf.sprintf "plain/elim deletion latency @%d, fig7" top);
+      ratio_indicator fig7_series ~slow:"Relaxed SkipQueue" ~fast:"Relaxed SkipQueue-elim"
+        ~procs:top del
+        (Printf.sprintf "relaxed plain/elim deletion latency @%d, fig7" top);
+      ratio_indicator fig8_series ~slow:"SkipQueue" ~fast:"SkipQueue-elim" ~procs:top del
+        (Printf.sprintf "plain/elim deletion latency @%d, fig8" top);
+      ( Printf.sprintf "plain/elim hottest-line queued cycles @%d procs" probe_procs,
+        hottest_ratio probes ~slow:"SkipQueue" ~fast:"SkipQueue-elim" );
+      ( Printf.sprintf "rendezvous share of deletes @%d (eliminated+served)" top,
+        rendezvous_share );
+    ]
 
 (* A13: the lock-free SkipQueue (CAS-marked deletion, batched physical
    unlink) against the locked original and the elimination front end, on
-   the fig7 and fig5/fig8 workloads, plus the fully traced >= 64-processor
-   head probe: claims touch one bottom link each, so the queued cycles on
-   the head line should sit well below the locked hunt's. *)
+   the fig7 and fig5/fig8 workloads, plus the traced head probe: claims
+   touch one bottom link each, so the queued cycles on the head line
+   should sit well below the locked hunt's. *)
 let ablation_lockfree options =
-  let impls () =
+  let impls = [ Sim.skipqueue (); Sim.(elim skipqueue_base); Sim.skipqueue_lf () ] in
+  let fig7_series = sweep options large (List.map fixed impls) in
+  let fig58_series = sweep options deletions (List.map fixed impls) in
+  let top = top_procs options and probe_procs = probe_procs options in
+  let probes, probe_text =
+    head_probes options ~workload:"fig7" ~key_range:(1 lsl 20) impls
+  in
+  let lf = (at fig7_series "SkipQueue-lf" top).Benchmark.queue_stats in
+  figure ~id:"ablation-lockfree"
+    ~title:"lock-free SkipQueue vs locked and elimination (fig7, fig5/fig8 workloads)"
+    ~after:
+      (probe_text
+      ^ Printf.sprintf "\nlock-free counters @%d procs (fig7): %s\n" top (stats_line lf))
     [
-      Queue_adapter.Sim.skipqueue ();
-      Queue_adapter.Sim.(elim skipqueue_base);
-      Queue_adapter.Sim.skipqueue_lf ();
+      section (titled "fig7 workload (1000 initial, 7000 ops, 50% inserts)") fig7_series;
+      section (titled "fig5/fig8 workload (27000 initial, 60000 ops, 30% inserts)")
+        fig58_series;
     ]
-  in
-  let series_for ~initial ~ops ~insert_ratio =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          base_workload options ~procs ~initial ~ops ~insert_ratio ~work:100
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      (impls ())
-  in
-  let fig7_series = series_for ~initial:1000 ~ops:7_000 ~insert_ratio:0.5 in
-  let fig58_series = series_for ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3 in
-  let top = 1 lsl options.max_procs_log2 in
-  let probe_procs = Int.min 64 top in
-  (* Same probe as the elimination figure: rerun the fig7 workload once per
-     structure at [probe_procs] under a Trace.Summary sink and compare
-     where the queued cycles land. *)
-  let probe impl =
-    options.progress
-      (Printf.sprintf "lock-free head probe: %s @ %d procs" impl.Queue_adapter.name
-         probe_procs);
-    let summary = Repro_sim.Trace.Summary.create () in
-    let ops = scaled options 7_000 in
-    let (_ : Repro_sim.Machine.report) =
-      Repro_sim.Machine.run
-        ~tracer:(Repro_sim.Trace.Summary.sink summary)
-        (fun () ->
-          let q = impl.Queue_adapter.create () in
-          let rng = Repro_util.Rng.of_seed 99L in
-          for i = 0 to 999 do
-            q.Queue_adapter.insert (Repro_util.Rng.int rng (1 lsl 20)) (1_000_000 + i)
-          done;
-          for p = 0 to probe_procs - 1 do
-            let rng = Repro_util.Rng.of_seed (Int64.of_int (7_000 + p)) in
-            Repro_sim.Machine.spawn (fun () ->
-                for i = 0 to (ops / probe_procs) - 1 do
-                  Repro_sim.Machine.work 100;
-                  if Repro_util.Rng.bernoulli rng 0.5 then
-                    q.Queue_adapter.insert
-                      (Repro_util.Rng.int rng (1 lsl 20))
-                      ((p * 1_000_000) + i)
-                  else ignore (q.Queue_adapter.try_delete_min ())
-                done)
-          done)
-    in
-    summary
-  in
-  let hottest_queued summary =
-    match Repro_sim.Trace.Summary.hottest_locations summary ~n:1 with
-    | (_, _, queued) :: _ -> queued
-    | [] -> 0
-  in
-  let top8_queued summary =
-    List.fold_left
-      (fun acc (_, _, queued) -> acc + queued)
-      0
-      (Repro_sim.Trace.Summary.hottest_locations summary ~n:8)
-  in
-  let probe_line name summary =
-    Printf.sprintf "%-22s hottest line queued %9d cycles; top-8 lines %9d\n" name
-      (hottest_queued summary) (top8_queued summary)
-  in
-  let plain_probe = probe (Queue_adapter.Sim.skipqueue ()) in
-  let elim_probe = probe (Queue_adapter.Sim.(elim skipqueue_base)) in
-  let lf_probe = probe (Queue_adapter.Sim.skipqueue_lf ()) in
-  let lf_counters =
-    stats_line (at fig7_series "SkipQueue-lf" top).Benchmark.queue_stats
-  in
-  let body =
-    "--- fig7 workload (1000 initial, 7000 ops, 50% inserts) ---\n"
-    ^ latency_tables ~series:fig7_series
-    ^ "\n--- fig5/fig8 workload (27000 initial, 60000 ops, 30% inserts) ---\n"
-    ^ latency_tables ~series:fig58_series
-    ^ Printf.sprintf
-        "\nHead-of-list contention probe (fig7 workload, %d procs, full tracing)\n"
-        probe_procs
-    ^ probe_line "SkipQueue" plain_probe
-    ^ probe_line "SkipQueue-elim" elim_probe
-    ^ probe_line "SkipQueue-lf" lf_probe
-    ^ Printf.sprintf "\nlock-free counters @%d procs (fig7): %s\n" top lf_counters
-  in
-  let lf_stat k =
-    let stats = (at fig7_series "SkipQueue-lf" top).Benchmark.queue_stats in
-    try List.assoc k stats with Not_found -> 0.0
-  in
-  {
-    id = "ablation-lockfree";
-    title = "lock-free SkipQueue vs locked and elimination (fig7, fig5/fig8 workloads)";
-    body;
-    data = series_data fig7_series @ series_data fig58_series;
-    indicators =
-      [
-        ratio_indicator fig7_series ~slow:"SkipQueue" ~fast:"SkipQueue-lf"
-          ~procs:probe_procs del
-          (Printf.sprintf "locked/lock-free deletion latency @%d, fig7 (want > 1)"
-             probe_procs);
-        ratio_indicator fig7_series ~slow:"SkipQueue-elim" ~fast:"SkipQueue-lf"
-          ~procs:probe_procs del
-          (Printf.sprintf "elim/lock-free deletion latency @%d, fig7 (want >= 1)"
-             probe_procs);
-        ratio_indicator fig7_series ~slow:"SkipQueue" ~fast:"SkipQueue-lf" ~procs:top ins
-          (Printf.sprintf "locked/lock-free insertion latency @%d, fig7" top);
-        ratio_indicator fig58_series ~slow:"SkipQueue" ~fast:"SkipQueue-lf" ~procs:top
-          del
-          (Printf.sprintf "locked/lock-free deletion latency @%d, fig5/fig8" top);
-        ( Printf.sprintf "locked/lock-free hottest-line queued cycles @%d procs"
-            probe_procs,
-          float_of_int (hottest_queued plain_probe)
-          /. float_of_int (Int.max 1 (hottest_queued lf_probe)) );
-        ( Printf.sprintf "mean marked nodes hopped per op @%d (batching pressure)" top,
-          lf_stat "marked_hops" /. Float.max 1.0 (lf_stat "ops") );
-        ( Printf.sprintf "CAS failures per op @%d (retry pressure)" top,
-          lf_stat "cas_failures" /. Float.max 1.0 (lf_stat "ops") );
-      ];
-  }
+    [
+      ratio_indicator fig7_series ~slow:"SkipQueue" ~fast:"SkipQueue-lf"
+        ~procs:probe_procs del
+        (Printf.sprintf "locked/lock-free deletion latency @%d, fig7 (want > 1)"
+           probe_procs);
+      ratio_indicator fig7_series ~slow:"SkipQueue-elim" ~fast:"SkipQueue-lf"
+        ~procs:probe_procs del
+        (Printf.sprintf "elim/lock-free deletion latency @%d, fig7 (want >= 1)"
+           probe_procs);
+      ratio_indicator fig7_series ~slow:"SkipQueue" ~fast:"SkipQueue-lf" ~procs:top ins
+        (Printf.sprintf "locked/lock-free insertion latency @%d, fig7" top);
+      ratio_indicator fig58_series ~slow:"SkipQueue" ~fast:"SkipQueue-lf" ~procs:top del
+        (Printf.sprintf "locked/lock-free deletion latency @%d, fig5/fig8" top);
+      ( Printf.sprintf "locked/lock-free hottest-line queued cycles @%d procs"
+          probe_procs,
+        hottest_ratio probes ~slow:"SkipQueue" ~fast:"SkipQueue-lf" );
+      ( Printf.sprintf "mean marked nodes hopped per op @%d (batching pressure)" top,
+        stat lf "marked_hops" /. Float.max 1.0 (stat lf "ops") );
+      ( Printf.sprintf "CAS failures per op @%d (retry pressure)" top,
+        stat lf "cas_failures" /. Float.max 1.0 (stat lf "ops") );
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -963,22 +759,16 @@ let scheduler options =
      outproduce 2-3x at every sweep point, so backpressure is what holds
      the backlog (and the sojourn times) down. *)
   let capacity = 64 in
+  (* Each backend behind the façade, built per point as in [sweep]. *)
   let backends =
     [
-      ( "bounded:SkipQueue",
-        fun ~procs:_ -> Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.skipqueue ()) );
-      ( "bounded:Relaxed SkipQueue",
-        fun ~procs:_ ->
-          Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.(plain (relaxed skipqueue_base))) );
-      ( "bounded:SkipQueue-lf",
-        fun ~procs:_ ->
-          Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.skipqueue_lf ()) );
-      ( "bounded:MultiQueue",
-        fun ~procs -> Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.multiqueue ~procs ())
-      );
+      ("bounded:SkipQueue", fun _ -> Sim.skipqueue ());
+      ("bounded:Relaxed SkipQueue", fun _ -> Sim.(plain (relaxed skipqueue_base)));
+      ("bounded:SkipQueue-lf", fun _ -> Sim.skipqueue_lf ());
+      ("bounded:MultiQueue", fun procs -> Sim.multiqueue ~procs ());
     ]
   in
-  let top = 1 lsl options.max_procs_log2 in
+  let top = top_procs options in
   (* 2 producers per consumer, plus root and a post-quiescence stats
      reader, against the simulator's 512-processor table. *)
   let consumer_counts =
@@ -995,7 +785,7 @@ let scheduler options =
     let offset total parts p = (p * (total / parts)) + Int.min p (total mod parts) in
     let (_ : Repro_sim.Machine.report) =
       Repro_sim.Machine.run (fun () ->
-          let impl = mk ~procs:(producers + consumers) in
+          let impl = Sim.bounded ~capacity (mk (producers + consumers)) in
           let q = impl.Queue_adapter.create () in
           for p = 0 to producers - 1 do
             let base = offset jobs_total producers p in
@@ -1049,15 +839,14 @@ let scheduler options =
       if pop_t.(j) > !finish then finish := pop_t.(j);
       Hashtbl.replace users user.(j) ()
     done;
-    let stat k = try List.assoc k !front_stats with Not_found -> 0.0 in
     ( consumers,
       object
         method latency = Stats.mean lat
         method miss_rate = 100.0 *. float_of_int !missed /. float_of_int jobs_total
         method distinct_users = Hashtbl.length users
-        method parks = stat "parks"
-        method stalls = stat "backpressure_stalls"
-        method wakes = stat "wakes"
+        method parks = stat !front_stats "parks"
+        method stalls = stat !front_stats "backpressure_stalls"
+        method wakes = stat !front_stats "wakes"
         method makespan = !finish (* last pop, ignoring the stats reader *)
       end )
   in
@@ -1132,6 +921,7 @@ let scheduler options =
         series;
   }
 
+
 (* ------------------------------------------------------------------ *)
 
 (* A14: the three-way relaxed shoot-out.  The paper's Relaxed SkipQueue
@@ -1145,105 +935,70 @@ let scheduler options =
    flush/merge counters say where its insertion-buffer amortization
    pays. *)
 let klsm_shootout options =
-  let sub ~tag ~initial ~ops ~insert_ratio ~key_range =
-    let workload_of procs =
-      {
-        (base_workload options ~procs ~initial ~ops ~insert_ratio ~work:100) with
-        Benchmark.key_range;
-      }
-    in
-    [
-      ( "Relaxed SkipQueue",
-        sweep options ~impl:(Queue_adapter.Sim.(plain (relaxed skipqueue_base))) ~workload_of );
-      ( "MultiQueue",
-        sweep_per_procs options
-          ~name:(Printf.sprintf "MultiQueue [%s]" tag)
-          ~impl_of:(fun procs -> Queue_adapter.Sim.multiqueue ~procs ())
-          ~workload_of );
-      ( "klsm:256",
-        sweep_per_procs options
-          ~name:(Printf.sprintf "klsm:256 [%s]" tag)
-          ~impl_of:(fun procs -> Queue_adapter.Sim.klsm ~k:256 ~procs ())
-          ~workload_of );
-    ]
-  in
+  let top = top_procs options in
   let workloads =
-    [
-      ( "fig6 small",
-        "fig6 workload: small structure (50 initial, 7000 ops, 50% inserts)",
-        sub ~tag:"fig6" ~initial:50 ~ops:7_000 ~insert_ratio:0.5
-          ~key_range:(1 lsl 20) );
-      ( "fig7 large",
-        "fig7 workload: large structure (1000 initial, 7000 ops, 50% inserts)",
-        sub ~tag:"fig7" ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
-          ~key_range:(1 lsl 20) );
-      ( "fig8 70% deletions",
-        "fig8 workload: 70% deletions (27000 initial, 60000 ops, 30% inserts)",
-        sub ~tag:"fig8" ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3
-          ~key_range:(1 lsl 20) );
-      ( "duplicate-heavy",
-        "duplicate-heavy: fig7 sizes, keys from a 256-value range",
-        sub ~tag:"dups" ~initial:1000 ~ops:7_000 ~insert_ratio:0.5 ~key_range:256 );
-    ]
+    List.map
+      (fun (tag, title, mix, key_range) ->
+        ( tag,
+          sweep options ~key_range mix
+            [
+              fixed Sim.(plain (relaxed skipqueue_base));
+              ("MultiQueue", fun procs -> Sim.multiqueue ~procs ());
+              ("klsm:256", fun procs -> Sim.klsm ~k:256 ~procs ());
+            ],
+          title ))
+      [
+        ( "fig6 small",
+          "fig6 workload: small structure (50 initial, 7000 ops, 50% inserts)",
+          small,
+          1 lsl 20 );
+        ( "fig7 large",
+          "fig7 workload: large structure (1000 initial, 7000 ops, 50% inserts)",
+          large,
+          1 lsl 20 );
+        ( "fig8 70% deletions",
+          "fig8 workload: 70% deletions (27000 initial, 60000 ops, 30% inserts)",
+          deletions,
+          1 lsl 20 );
+        ( "duplicate-heavy",
+          "duplicate-heavy: fig7 sizes, keys from a 256-value range",
+          large,
+          256 );
+      ]
   in
-  let top = 1 lsl options.max_procs_log2 in
-  let klsm_stat series k =
-    let stats = (at series "klsm:256" top).Benchmark.queue_stats in
-    try List.assoc k stats with Not_found -> 0.0
-  in
-  let klsm_counters series =
-    Printf.sprintf "k-LSM counters @%d procs: %s\n" top
-      (stats_line (at series "klsm:256" top).Benchmark.queue_stats)
-  in
-  let body =
-    String.concat "\n"
-      (List.map
-         (fun (_, title, series) ->
-           Printf.sprintf "--- %s ---\n" title
-           ^ latency_tables ~series ^ "\n" ^ rank_table ~series
-           ^ klsm_counters series)
-         workloads)
-  in
-  let indicators =
-    List.concat_map
-      (fun (tag, _, series) ->
-        [
-          ratio_indicator series ~slow:"Relaxed SkipQueue" ~fast:"klsm:256" ~procs:top
-            del
-            (Printf.sprintf "relaxed/klsm deletion latency @%d, %s" top tag);
-          ratio_indicator series ~slow:"MultiQueue" ~fast:"klsm:256" ~procs:top del
-            (Printf.sprintf "multiqueue/klsm deletion latency @%d, %s" top tag);
-          ( Printf.sprintf "klsm mean rank error @%d, %s (bound 256)" top tag,
-            rank_of (at series "klsm:256" top) );
-          ( Printf.sprintf "multiqueue mean rank error @%d, %s" top tag,
-            rank_of (at series "MultiQueue" top) );
-        ])
-      workloads
-    @
-    let _, _, fig7_series = List.nth workloads 1 in
-    [
-      ( Printf.sprintf "klsm buffer flushes per insert @%d, fig7" top,
-        klsm_stat fig7_series "flushes"
-        /. Float.max 1.0 (klsm_stat fig7_series "ops") );
-      ( Printf.sprintf "klsm spy sweeps @%d, fig7 (emptiness fallbacks)" top,
-        klsm_stat fig7_series "spy_sweeps" );
-    ]
-  in
-  let data =
-    List.concat_map
-      (fun (tag, _, series) ->
-        List.map
-          (fun (name, points) -> (Printf.sprintf "%s/%s" name tag, points))
-          (series_data series))
-      workloads
-  in
-  {
-    id = "klsm-shootout";
-    title = "three-way relaxed shoot-out: Relaxed SkipQueue vs MultiQueue vs k-LSM";
-    body;
-    indicators;
-    data;
-  }
+  let klsm series = (at series "klsm:256" top).Benchmark.queue_stats in
+  let _, fig7, _ = List.nth workloads 1 in
+  figure ~id:"klsm-shootout"
+    ~title:"three-way relaxed shoot-out: Relaxed SkipQueue vs MultiQueue vs k-LSM"
+    (List.map
+       (fun (tag, series, title) ->
+         section ~tag
+           ~extra:
+             ("\n" ^ rank_table ~series
+             ^ Printf.sprintf "k-LSM counters @%d procs: %s\n" top
+                 (stats_line (klsm series)))
+           (titled title) series)
+       workloads)
+    (List.concat_map
+       (fun (tag, series, _) ->
+         [
+           ratio_indicator series ~slow:"Relaxed SkipQueue" ~fast:"klsm:256" ~procs:top
+             del
+             (Printf.sprintf "relaxed/klsm deletion latency @%d, %s" top tag);
+           ratio_indicator series ~slow:"MultiQueue" ~fast:"klsm:256" ~procs:top del
+             (Printf.sprintf "multiqueue/klsm deletion latency @%d, %s" top tag);
+           ( Printf.sprintf "klsm mean rank error @%d, %s (bound 256)" top tag,
+             rank_of (at series "klsm:256" top) );
+           ( Printf.sprintf "multiqueue mean rank error @%d, %s" top tag,
+             rank_of (at series "MultiQueue" top) );
+         ])
+       workloads
+    @ [
+        ( Printf.sprintf "klsm buffer flushes per insert @%d, fig7" top,
+          stat (klsm fig7) "flushes" /. Float.max 1.0 (stat (klsm fig7) "ops") );
+        ( Printf.sprintf "klsm spy sweeps @%d, fig7 (emptiness fallbacks)" top,
+          stat (klsm fig7) "spy_sweeps" );
+      ])
 
 (* A15: the coalescing SkipQueue (DESIGN.md §S21) on duplicate-heavy
    workloads.  Keys are drawn from a narrow range, so most inserts hit a
@@ -1257,167 +1012,72 @@ let klsm_shootout options =
    Caveat on like-for-like: the plain SkipQueue carries the PR 1 dedup
    contract (a duplicate insert updates in place), the other three keep
    multiset semantics — exactly the semantic gap the coalescing node
-   closes without giving up distinct instances.  The fully traced probe
-   reruns the 256-range workload at >= 64 processors and compares where
-   the queued cycles land: coalesced joins touch one packed word mid-list
-   instead of walking locked level pointers at the head, so the
-   coalescing queue's hottest line should sit below the locked hunt's. *)
+   closes without giving up distinct instances.  The traced head probe
+   reruns the 256-range workload and compares where the queued cycles
+   land: coalesced joins touch one packed word mid-list instead of
+   walking locked level pointers at the head, so the coalescing queue's
+   hottest line should sit below the locked hunt's. *)
 let duplicate_heavy options =
-  let impls () =
+  let impls =
     [
-      Queue_adapter.Sim.skipqueue ();
-      Queue_adapter.Sim.(plain co_base);
-      Queue_adapter.Sim.elim_skipqueue_co ();
-      Queue_adapter.Sim.skipqueue_lf ();
+      Sim.skipqueue ();
+      Sim.(plain co_base);
+      Sim.elim_skipqueue_co ();
+      Sim.skipqueue_lf ();
     ]
   in
-  let series_for ~key_range =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          {
-            (base_workload options ~procs ~initial:1000 ~ops:7_000
-               ~insert_ratio:0.5 ~work:100)
-            with
-            Benchmark.key_range;
-          }
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      (impls ())
-  in
-  let ranges = [ 64; 256; 4096 ] in
   let range_series =
-    List.map (fun key_range -> (key_range, series_for ~key_range)) ranges
+    List.map
+      (fun key_range ->
+        (key_range, sweep options ~key_range large (List.map fixed impls)))
+      [ 64; 256; 4096 ]
   in
-  let top = 1 lsl options.max_procs_log2 in
-  let probe_procs = Int.min 64 top in
-  (* Same shape as the elimination/lock-free probes, on the 256-value key
-     range: one traced rerun per structure at [probe_procs]. *)
-  let probe impl =
-    options.progress
-      (Printf.sprintf "duplicate-heavy head probe: %s @ %d procs"
-         impl.Queue_adapter.name probe_procs);
-    let summary = Repro_sim.Trace.Summary.create () in
-    let ops = scaled options 7_000 in
-    let (_ : Repro_sim.Machine.report) =
-      Repro_sim.Machine.run
-        ~tracer:(Repro_sim.Trace.Summary.sink summary)
-        (fun () ->
-          let q = impl.Queue_adapter.create () in
-          let rng = Repro_util.Rng.of_seed 99L in
-          for i = 0 to 999 do
-            q.Queue_adapter.insert (Repro_util.Rng.int rng 256) (1_000_000 + i)
-          done;
-          for p = 0 to probe_procs - 1 do
-            let rng = Repro_util.Rng.of_seed (Int64.of_int (7_000 + p)) in
-            Repro_sim.Machine.spawn (fun () ->
-                for i = 0 to (ops / probe_procs) - 1 do
-                  Repro_sim.Machine.work 100;
-                  if Repro_util.Rng.bernoulli rng 0.5 then
-                    q.Queue_adapter.insert
-                      (Repro_util.Rng.int rng 256)
-                      ((p * 1_000_000) + i)
-                  else ignore (q.Queue_adapter.try_delete_min ())
-                done)
-          done)
-    in
-    summary
+  let top = top_procs options and probe_procs = probe_procs options in
+  let probes, probe_text =
+    head_probes options ~workload:"256-range" ~key_range:256 impls
   in
-  let hottest_queued summary =
-    match Repro_sim.Trace.Summary.hottest_locations summary ~n:1 with
-    | (_, _, queued) :: _ -> queued
-    | [] -> 0
-  in
-  let top8_queued summary =
-    List.fold_left
-      (fun acc (_, _, queued) -> acc + queued)
-      0
-      (Repro_sim.Trace.Summary.hottest_locations summary ~n:8)
-  in
-  let probe_line name summary =
-    Printf.sprintf "%-22s hottest line queued %9d cycles; top-8 lines %9d\n" name
-      (hottest_queued summary) (top8_queued summary)
-  in
-  let plain_probe = probe (Queue_adapter.Sim.skipqueue ()) in
-  let co_probe = probe (Queue_adapter.Sim.(plain co_base)) in
-  let co_elim_probe = probe (Queue_adapter.Sim.elim_skipqueue_co ()) in
-  let lf_probe = probe (Queue_adapter.Sim.skipqueue_lf ()) in
+  let co series = (at series "SkipQueue-co" top).Benchmark.queue_stats in
   let series_256 = List.assoc 256 range_series in
-  let co_stat series k =
-    let stats = (at series "SkipQueue-co" top).Benchmark.queue_stats in
-    try List.assoc k stats with Not_found -> 0.0
-  in
-  let co_counters series =
-    Printf.sprintf "coalescing counters @%d procs: %s\n" top
-      (stats_line (at series "SkipQueue-co" top).Benchmark.queue_stats)
-  in
-  let body =
-    String.concat "\n"
-      (List.map
-         (fun (key_range, series) ->
-           Printf.sprintf
-             "--- key range %d (1000 initial, 7000 ops, 50%% inserts) ---\n"
-             key_range
-           ^ latency_tables ~series ^ co_counters series)
-         range_series)
-    ^ Printf.sprintf
-        "\nHead-of-list contention probe (256-range workload, %d procs, full tracing)\n"
-        probe_procs
-    ^ probe_line "SkipQueue" plain_probe
-    ^ probe_line "SkipQueue-co" co_probe
-    ^ probe_line "SkipQueue-co-elim" co_elim_probe
-    ^ probe_line "SkipQueue-lf" lf_probe
-  in
-  let indicators =
-    List.concat_map
-      (fun (key_range, series) ->
-        [
-          ratio_indicator series ~slow:"SkipQueue" ~fast:"SkipQueue-co"
-            ~procs:probe_procs del
-            (Printf.sprintf
-               "plain/co deletion latency @%d, range %d (want > 1)" probe_procs
-               key_range);
-          ratio_indicator series ~slow:"SkipQueue" ~fast:"SkipQueue-co"
-            ~procs:top ins
-            (Printf.sprintf "plain/co insertion latency @%d, range %d" top
-               key_range);
-        ])
-      range_series
+  figure ~id:"duplicate-heavy"
+    ~title:"coalescing SkipQueue on duplicate-heavy workloads (key range x processors)"
+    ~after:probe_text
+    (List.map
+       (fun (key_range, series) ->
+         section
+           ~tag:(Printf.sprintf "range%d" key_range)
+           ~extra:
+             (Printf.sprintf "coalescing counters @%d procs: %s\n" top
+                (stats_line (co series)))
+           (titled
+              (Printf.sprintf "key range %d (1000 initial, 7000 ops, 50%% inserts)"
+                 key_range))
+           series)
+       range_series)
+    (List.concat_map
+       (fun (key_range, series) ->
+         [
+           ratio_indicator series ~slow:"SkipQueue" ~fast:"SkipQueue-co"
+             ~procs:probe_procs del
+             (Printf.sprintf "plain/co deletion latency @%d, range %d (want > 1)"
+                probe_procs key_range);
+           ratio_indicator series ~slow:"SkipQueue" ~fast:"SkipQueue-co" ~procs:top ins
+             (Printf.sprintf "plain/co insertion latency @%d, range %d" top key_range);
+         ])
+       range_series
     @ [
         ratio_indicator series_256 ~slow:"SkipQueue-co" ~fast:"SkipQueue-co-elim"
           ~procs:probe_procs del
-          (Printf.sprintf "co/co-elim deletion latency @%d, range 256"
-             probe_procs);
-        ( Printf.sprintf "plain/co hottest-line queued cycles @%d procs"
-            probe_procs,
-          float_of_int (hottest_queued plain_probe)
-          /. float_of_int (Int.max 1 (hottest_queued co_probe)) );
+          (Printf.sprintf "co/co-elim deletion latency @%d, range 256" probe_procs);
+        ( Printf.sprintf "plain/co hottest-line queued cycles @%d procs" probe_procs,
+          hottest_ratio probes ~slow:"SkipQueue" ~fast:"SkipQueue-co" );
         (* At a 50/50 mix, hunt passes ~ inserts, so this approximates the
            share of inserts absorbed into an existing node's slab. *)
         ( Printf.sprintf "coalesced inserts per insert @%d, range 256" top,
-          co_stat series_256 "coalesced_inserts"
-          /. Float.max 1.0 (co_stat series_256 "hunt_passes") );
+          stat (co series_256) "coalesced_inserts"
+          /. Float.max 1.0 (stat (co series_256) "hunt_passes") );
         ( Printf.sprintf "capacity-full node splits @%d, range 256" top,
-          co_stat series_256 "node_splits" );
-      ]
-  in
-  let data =
-    List.concat_map
-      (fun (key_range, series) ->
-        List.map
-          (fun (name, points) ->
-            (Printf.sprintf "%s/range%d" name key_range, points))
-          (series_data series))
-      range_series
-  in
-  {
-    id = "duplicate-heavy";
-    title =
-      "coalescing SkipQueue on duplicate-heavy workloads (key range x processors)";
-    body;
-    indicators;
-    data;
-  }
+          stat (co series_256) "node_splits" );
+      ])
 
 let all =
   [

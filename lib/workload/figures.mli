@@ -103,6 +103,14 @@ val ablation_elimination : options -> result
     to 64 processors comparing queued cycles on the hottest (head-of-
     list) cache line, and the front end's rendezvous counters. *)
 
+val ablation_lockfree : options -> result
+(** A13: the lock-free SkipQueue ({!Repro_skipqueue.Skipqueue_lf}:
+    CAS-marked deletion, batched physical unlink) against the locked
+    SkipQueue and its elimination front end on the fig7 and fig5/fig8
+    workloads — latency sweeps, the same traced head-of-list probe as
+    {!ablation_elimination} for all three, and the lock-free queue's
+    marked-hop and CAS-failure counters per operation. *)
+
 val scheduler : options -> result
 (** A12: the flagship blocking scenario — an earliest-deadline-first task
     scheduler for a 2,000,000-user id space, built on the bounded/blocking
@@ -119,6 +127,16 @@ val klsm_shootout : options -> result
     fig6/fig7/fig8 workloads plus a duplicate-heavy one (256-value key
     range), reporting latency, the Delete-min rank-error oracle for each
     relaxation, and the k-LSM's flush/merge/spy counters. *)
+
+val duplicate_heavy : options -> result
+(** A15: the coalescing SkipQueue ({!Repro_skipqueue.Skipqueue_co},
+    multiset nodes under one packed lock word) on duplicate-heavy
+    workloads — fig7 sizes with keys from ranges of 64, 256 and 4096
+    values, each swept over the processor axis for the locked SkipQueue,
+    the coalescing queue alone and behind the elimination front end, and
+    the lock-free queue; plus the traced head-of-list probe on the
+    256-value range and the coalescing counters (coalesced inserts, node
+    splits).  CSV series are suffixed ["/range<r>"]. *)
 
 val all : (string * (options -> result)) list
 (** Every runner, keyed by id, in presentation order. *)
