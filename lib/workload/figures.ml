@@ -883,7 +883,7 @@ let scheduler options =
           ])
         points
     in
-    "--- " ^ name ^ " ---\n" ^ Table.render ~header rows
+    titled name ^ Table.render ~header rows
   in
   let last (_, points) = snd (List.nth points (List.length points - 1)) in
   let first_series = List.hd series in
@@ -920,7 +920,6 @@ let scheduler options =
           ])
         series;
   }
-
 
 (* ------------------------------------------------------------------ *)
 
