@@ -118,6 +118,28 @@ let pins =
             ("node_splits", 1.)
           ];
       } );
+    ( "Relaxed SkipQueue-co",
+      256,
+      {
+        machine =
+          {
+            Machine.end_time = 36028797019001603; processors = 18; events = 63330;
+            accesses = 62735; cache_hits = 44040; queued_cycles = 71843;
+            swaps = 4887; lock_acquisitions = 427; lock_contentions = 64;
+            lock_wait_cycles = 14381; lock_try_failures = 0; cond_parkings = 0;
+            cond_wait_cycles = 0
+          };
+        end_time = 60825;
+        final_size = 60;
+        queue_stats =
+          [
+            ("ops", 581.); ("lock_acquisitions", 427.);
+            ("lock_try_failures", 0.); ("hunt_steps", 369.);
+            ("swap_losses", 1110.); ("stale_skips", 0.);
+            ("hunt_passes", 291.); ("coalesced_inserts", 34.);
+            ("node_splits", 1.)
+          ];
+      } );
     ( "SkipQueue-co-dedup",
       256,
       {
