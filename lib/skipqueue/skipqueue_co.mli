@@ -24,17 +24,25 @@
     are supported and keep their contracts: [Strict] stays Definition-1
     linearizable (joins never touch a node's completion stamp; an element
     joined into an older node shares its key, so no smaller settled
-    element is ever skipped), [Relaxed] stays §5.4-relaxed. *)
+    element is ever skipped), [Relaxed] stays §5.4-relaxed.
+
+    Everything but the constructor, the insert, the invariant check and
+    the coalescing counters is {!Locked_skiplist.QUEUE}, shared with
+    {!Skipqueue}.  [delete_min] claims one element of the first eligible
+    node with a single lock-free ticket CAS (FIFO within a key) and
+    unlinks the node only on the claim that exhausts it; a batch may be
+    satisfied by several elements of one coalesced node in a single hunt
+    pass.  [size] counts elements, not nodes.  In this layout
+    [hunt_steps] counts ticket CASes, and [swap_losses] both the dead
+    nodes stepped over and the CASes lost to a concurrent commit on the
+    same word.  Recycled nodes (value slab included) are re-registered
+    through [R.refresh], so pooling never changes simulated cycle
+    counts. *)
 
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
-  type 'v t
-
-  type mode = Locked_skiplist.mode = Strict | Relaxed
+  include Locked_skiplist.QUEUE with type key = K.t
 
   module Reclaim : module type of Reclamation.Make (R)
-
-  type key = K.t
-  (** Alias making the module a valid {!Elimination.BACKING}. *)
 
   val create :
     ?mode:mode ->
@@ -63,51 +71,11 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       [dedups], [`Inserted] for a multiset admission); links a fresh node
       after every equal-key node otherwise. *)
 
-  val delete_min : 'v t -> (K.t * 'v) option
-  (** Claims one element of the first eligible node with a single
-      lock-free ticket CAS (FIFO within a key); unlinks the node only on
-      the claim that exhausts it. *)
-
-  val peek_min : 'v t -> (K.t * 'v) option
-  (** First live binding without claiming it; racy by nature. *)
-
-  val size : 'v t -> int
-  (** Number of live {e elements} (counts, not nodes).  Quiescent use. *)
-
-  val to_list : 'v t -> (K.t * 'v) list
-  (** Ascending bindings; within one key, insertion (delivery) order.
-      Quiescent use only. *)
-
   val check_invariants : 'v t -> (unit, string) result
   (** Quiescent structural check: non-decreasing bottom keys; every
       reachable node live, unmarked, count within capacity and equal to
       its slab length; no lock bit held; upper-level nodes present in the
       bottom list.  Dedup mode additionally pins every count to 1. *)
-
-  (** {2 Front-end hooks} — same contract as {!Skipqueue.Make}; a batch
-      may be satisfied by several elements of one coalesced node in a
-      single hunt pass. *)
-
-  val first_bound : 'v t -> [ `Empty | `Min_at_most of K.t ]
-
-  type 'v batch
-
-  val hunt_batch : 'v t -> want:int -> 'v batch
-  val batch_claims : 'v batch -> (K.t * 'v) list
-  val finish_batch : 'v t -> 'v batch -> unit
-
-  (** {2 Instrumentation} *)
-
-  type op_stats = Locked_skiplist.op_stats = {
-    hunt_steps : int;  (** bottom-level claim attempts by delete-mins *)
-    swap_losses : int;
-        (** dead nodes stepped over plus claim CASes lost to a
-            concurrent commit on the same word *)
-    stale_skips : int;  (** nodes skipped for a too-young timestamp *)
-    hunt_passes : int;  (** hunt invocations (one per batch) *)
-  }
-
-  val stats : 'v t -> op_stats
 
   type co_stats = {
     coalesced_inserts : int;
@@ -117,12 +85,4 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   }
 
   val co_stats : 'v t -> co_stats
-
-  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
-
-  val pool_stats : 'v t -> pool_stats
-  (** As in {!Skipqueue.Make}: non-zero only with [~reclamation]; recycled
-      nodes (value slab included) are re-registered through [R.refresh] in
-      fresh-allocation order, so pooling never changes simulated cycle
-      counts. *)
 end
