@@ -6,49 +6,19 @@
    `--sim-only` stops there; `--json PATH` writes the numbers for CI
    artifacts (BENCH_sim.json); `--sim-runs N` sets the repetitions.
 
-   Then two bechamel groups:
-
-   - "paper": one Test.make per table/figure of the paper (fig2..fig8 and
-     the ablations).  Each test executes one scaled-down simulator run of
-     that figure's workload (the full-scale regeneration is
-     bin/experiments.exe); bechamel measures the wall-clock cost of the
-     simulation itself.  After the bechamel table, the same scaled-down
-     configurations are run once more and their *simulated-cycle* results
-     are printed in the paper's layout, so `dune exec bench/main.exe`
-     shows both host-time costs and the reproduced shapes.
-
-   - "micro": single-threaded microbenchmarks of the sequential substrate
-     structures (skiplist / binary heap / pairing heap / sorted list) and
-     of the simulator's primitives. *)
+   Then one bechamel group, "micro": single-threaded microbenchmarks of
+   the sequential substrate structures (skiplist / binary heap / 4-ary
+   heap / sorted list) and of the simulator's primitives.  Scaled-down
+   runs of the paper's figures are `bin/experiments.exe --scale 0.01`. *)
 
 open Bechamel
 open Toolkit
-
-let quick_options =
-  {
-    Repro_workload.Figures.scale = 0.01;
-    max_procs_log2 = 5;
-    progress = ignore;
-    jobs = 1;
-  }
-
-(* --- one Test.make per paper table/figure -------------------------------- *)
-
-let paper_tests =
-  let make_one (id, runner) =
-    Test.make ~name:id
-      (Staged.stage (fun () ->
-           ignore (Sys.opaque_identity (runner quick_options))))
-  in
-  Test.make_grouped ~name:"paper" (List.map make_one Repro_workload.Figures.all)
 
 (* --- microbenchmarks ------------------------------------------------------ *)
 
 module Seq_skiplist = Repro_pqueue.Seq_skiplist.Make (Repro_pqueue.Key.Int)
 module Seq_heap = Repro_pqueue.Seq_heap.Make (Repro_pqueue.Key.Int)
-module Pairing = Repro_pqueue.Pairing_heap.Make (Repro_pqueue.Key.Int)
 module Dary = Repro_pqueue.Dary_heap.Make (Repro_pqueue.Key.Int)
-module Indexed = Repro_pqueue.Indexed_skiplist.Make (Repro_pqueue.Key.Int)
 module Sorted = Repro_pqueue.Sorted_list.Make (Repro_pqueue.Key.Int)
 module Machine = Repro_sim.Machine
 module Sim = Repro_sim.Sim_runtime
@@ -75,35 +45,12 @@ let micro_tests =
              ()
            done))
   in
-  let pairing_churn =
-    Test.make ~name:"pairing-heap churn 1024"
-      (Staged.stage (fun () ->
-           let t = ref Pairing.empty in
-           Array.iter (fun k -> t := Pairing.insert !t k k) keys;
-           let rec drain () =
-             match Pairing.delete_min !t with
-             | None -> ()
-             | Some (_, rest) ->
-               t := rest;
-               drain ()
-           in
-           drain ()))
-  in
   let dary_churn =
     Test.make ~name:"4-ary-heap churn 1024"
       (Staged.stage (fun () ->
            let t = Dary.create () in
            Array.iter (fun k -> Dary.insert t k k) keys;
            while Dary.delete_min t <> None do
-             ()
-           done))
-  in
-  let indexed_churn =
-    Test.make ~name:"indexed-skiplist churn 1024"
-      (Staged.stage (fun () ->
-           let t = Indexed.create () in
-           Array.iter (fun k -> ignore (Indexed.insert t k k)) keys;
-           while Indexed.delete_min t <> None do
              ()
            done))
   in
@@ -165,8 +112,6 @@ let micro_tests =
       skiplist_churn;
       heap_churn;
       dary_churn;
-      indexed_churn;
-      pairing_churn;
       sorted_churn;
       sim_skipqueue;
       sim_multiqueue;
@@ -404,15 +349,4 @@ let () =
   if !sim_only then Stdlib.exit 0;
   print_newline ();
   print_endline "=== bechamel: host-time per benchmark ===";
-  print_endline "(paper/* entries each run one scaled-down simulation of that figure)";
-  let results = benchmark (Test.make_grouped ~name:"" [ paper_tests; micro_tests ]) in
-  print_results results;
-  print_newline ();
-  print_endline "=== reproduced shapes (scaled-down: 1% of ops, up to 32 procs) ===";
-  print_endline "full scale: dune exec bin/experiments.exe -- all";
-  print_newline ();
-  List.iter
-    (fun (_, runner) ->
-      print_string (Repro_workload.Figures.render (runner quick_options));
-      print_newline ())
-    Repro_workload.Figures.all
+  print_results (benchmark micro_tests)
